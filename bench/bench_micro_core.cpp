@@ -7,7 +7,7 @@
 #include "core/competitive.h"
 #include "core/encoding.h"
 #include "core/mgcpl.h"
-#include "core/similarity.h"
+#include "core/profile_set.h"
 #include "data/synthetic.h"
 #include "metrics/indices.h"
 
@@ -27,13 +27,20 @@ const data::Dataset& bench_data() {
   return ds;
 }
 
+// The single-cluster paths run on a k = 1 bank: the cost of one Eq. (1)
+// or Eq. (14) evaluation and one O(d) membership update.
+core::ProfileSet one_cluster(const data::Dataset& ds, std::size_t members) {
+  core::ProfileSet profile(ds.cardinalities(), 1);
+  for (std::size_t i = 0; i < members; ++i) profile.add(0, ds, i);
+  return profile;
+}
+
 void BM_SimilarityEq1(benchmark::State& state) {
   const auto& ds = bench_data();
-  core::ClusterProfile profile(ds.cardinalities());
-  for (std::size_t i = 0; i < 1000; ++i) profile.add(ds, i);
+  const core::ProfileSet profile = one_cluster(ds, 1000);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(profile.similarity(ds, i));
+    benchmark::DoNotOptimize(profile.score_one(0, ds, i));
     i = (i + 1) % ds.num_objects();
   }
 }
@@ -41,13 +48,12 @@ BENCHMARK(BM_SimilarityEq1);
 
 void BM_WeightedSimilarityEq14(benchmark::State& state) {
   const auto& ds = bench_data();
-  core::ClusterProfile profile(ds.cardinalities());
-  for (std::size_t i = 0; i < 1000; ++i) profile.add(ds, i);
+  const core::ProfileSet profile = one_cluster(ds, 1000);
   const std::vector<double> weights(ds.num_features(),
                                     1.0 / static_cast<double>(ds.num_features()));
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(profile.weighted_similarity(ds, i, weights));
+    benchmark::DoNotOptimize(profile.weighted_score_one(0, ds, i, weights));
     i = (i + 1) % ds.num_objects();
   }
 }
@@ -55,12 +61,11 @@ BENCHMARK(BM_WeightedSimilarityEq14);
 
 void BM_ProfileAddRemove(benchmark::State& state) {
   const auto& ds = bench_data();
-  core::ClusterProfile profile(ds.cardinalities());
-  profile.add(ds, 0);
+  core::ProfileSet profile = one_cluster(ds, 1);
   std::size_t i = 1;
   for (auto _ : state) {
-    profile.add(ds, i);
-    profile.remove(ds, i);
+    profile.add(0, ds, i);
+    profile.remove(0, ds, i);
     i = (i + 1) % ds.num_objects();
     if (i == 0) i = 1;
   }

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -16,10 +17,13 @@
 
 #if defined(__unix__) || defined(__APPLE__)
 #define MCDC_ARTIFACT_MMAP 1
+#include <errno.h>
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
+#else
+#include <filesystem>
 #endif
 
 namespace mcdc::api {
@@ -145,13 +149,16 @@ std::vector<std::uint8_t> Model::to_binary(bool include_training_labels) const {
   // Payload first; the header needs its size and checksum.
   std::vector<std::uint8_t> payload;
   put_str(payload, method_);
-  for (const int m : cardinalities_) put_i32(payload, m);
-  for (const core::ClusterProfile& profile : profiles_) {
-    put_i32(payload, profile.size());
+  for (const int m : cardinalities()) put_i32(payload, m);
+  for (int l = 0; l < k(); ++l) put_f64(payload, bank_.size(l));
+  for (int l = 0; l < k(); ++l) {
+    for (std::size_t r = 0; r < d; ++r) put_f64(payload, bank_.non_null(l, r));
   }
-  for (const core::ClusterProfile& profile : profiles_) {
-    for (const auto& feature_counts : profile.counts()) {
-      for (const int c : feature_counts) put_i32(payload, c);
+  for (int l = 0; l < k(); ++l) {
+    for (std::size_t r = 0; r < d; ++r) {
+      for (data::Value v = 0; v < cardinalities()[r]; ++v) {
+        put_f64(payload, bank_.count(l, r, v));
+      }
     }
   }
   const std::uint64_t n =
@@ -179,7 +186,7 @@ std::vector<std::uint8_t> Model::to_binary(bool include_training_labels) const {
   put_u32(out, static_cast<std::uint32_t>(kArtifactHeaderBytes));
   put_u64(out, payload.size());
   put_u32(out, artifact_crc32(payload.data(), payload.size()));
-  put_u32(out, static_cast<std::uint32_t>(k_));
+  put_u32(out, static_cast<std::uint32_t>(k()));
   put_u64(out, d);
   put_u64(out, n);
   put_u64(out, dictionaries ? kFlagDictionaries : 0);
@@ -200,9 +207,9 @@ Model Model::from_binary(const std::uint8_t* data, std::size_t size) {
     throw ArtifactError("bad magic (not an MCDC model artifact)");
   }
   const std::uint32_t version = header.u32("version");
-  if (version != kArtifactVersion) {
+  if (version != 1 && version != kArtifactVersion) {
     throw ArtifactError("unsupported format version " +
-                        std::to_string(version) + " (this build reads " +
+                        std::to_string(version) + " (this build reads 1 to " +
                         std::to_string(kArtifactVersion) + ")");
   }
   const std::uint32_t header_bytes = header.u32("header size");
@@ -236,62 +243,85 @@ Model Model::from_binary(const std::uint8_t* data, std::size_t size) {
     throw ArtifactError(buf);
   }
 
+  // Nothing below reserves from header counts: every element is read
+  // (bounds-checked) before it is stored, so a hostile k, d or n costs at
+  // most the bytes actually present.
   Reader body(payload, static_cast<std::size_t>(payload_bytes));
   Model model;
   model.method_ = body.str("method name");
-  model.k_ = static_cast<int>(k);
-  model.cardinalities_.reserve(static_cast<std::size_t>(d));
+  std::vector<int> cardinalities;
+  std::size_t cells = 0;
   for (std::uint64_t r = 0; r < d; ++r) {
     const std::int32_t m = body.i32("cardinality");
     if (m < 0) throw ArtifactError("negative cardinality");
-    model.cardinalities_.push_back(m);
+    cardinalities.push_back(m);
+    cells += static_cast<std::size_t>(m);
   }
-  std::vector<int> sizes;
-  sizes.reserve(k);
-  for (std::uint32_t l = 0; l < k; ++l) {
-    const std::int32_t s = body.i32("cluster size");
-    if (s < 0) throw ArtifactError("negative cluster size");
-    sizes.push_back(s);
-  }
-  model.profiles_.reserve(k);
-  for (std::uint32_t l = 0; l < k; ++l) {
-    std::vector<std::vector<int>> counts(static_cast<std::size_t>(d));
-    for (std::uint64_t r = 0; r < d; ++r) {
-      const auto m =
-          static_cast<std::size_t>(model.cardinalities_[static_cast<std::size_t>(r)]);
-      counts[static_cast<std::size_t>(r)].reserve(m);
-      for (std::size_t v = 0; v < m; ++v) {
-        const std::int32_t c = body.i32("histogram count");
-        if (c < 0) throw ArtifactError("negative histogram count");
-        counts[static_cast<std::size_t>(r)].push_back(c);
+  std::vector<double> sizes;
+  std::vector<double> non_null;
+  std::vector<double> counts;
+  if (version == 1) {
+    // Version 1: i32 sizes and counts; the non-null totals are the row
+    // sums, exact for the integral counts this version holds.
+    for (std::uint32_t l = 0; l < k; ++l) {
+      const std::int32_t s = body.i32("cluster size");
+      if (s < 0) throw ArtifactError("negative cluster size");
+      sizes.push_back(s);
+    }
+    for (std::uint32_t l = 0; l < k; ++l) {
+      for (const int m : cardinalities) {
+        double total = 0.0;
+        for (int v = 0; v < m; ++v) {
+          const std::int32_t c = body.i32("histogram count");
+          if (c < 0) throw ArtifactError("negative histogram count");
+          counts.push_back(c);
+          total += c;
+        }
+        non_null.push_back(total);
       }
     }
-    model.profiles_.push_back(core::ClusterProfile::from_counts(
-        std::move(counts), sizes[l]));
+  } else {
+    // Version 2: the bank verbatim as f64, non-null totals stored (under
+    // decay they are not the row sums of the counts).
+    const auto histogram_value = [&body](const char* what) {
+      const double x = body.f64(what);
+      if (!std::isfinite(x) || x < 0.0) {
+        throw ArtifactError(std::string(what) + " is negative or non-finite");
+      }
+      return x;
+    };
+    for (std::uint32_t l = 0; l < k; ++l) {
+      sizes.push_back(histogram_value("cluster size"));
+    }
+    for (std::uint32_t l = 0; l < k; ++l) {
+      for (std::uint64_t r = 0; r < d; ++r) {
+        non_null.push_back(histogram_value("non-null total"));
+      }
+    }
+    for (std::uint32_t l = 0; l < k; ++l) {
+      for (std::size_t c = 0; c < cells; ++c) {
+        counts.push_back(histogram_value("histogram count"));
+      }
+    }
   }
-  model.training_labels_.reserve(static_cast<std::size_t>(n));
+  model.bank_ =
+      core::ProfileSet::from_arrays(cardinalities, sizes, non_null, counts);
   for (std::uint64_t i = 0; i < n; ++i) {
     model.training_labels_.push_back(body.i32("training label"));
   }
   const std::uint32_t kappa_count = body.u32("kappa count");
-  model.kappa_.reserve(kappa_count);
   for (std::uint32_t j = 0; j < kappa_count; ++j) {
     model.kappa_.push_back(body.i32("kappa"));
   }
   const std::uint32_t theta_count = body.u32("theta count");
-  model.theta_.reserve(theta_count);
   for (std::uint32_t j = 0; j < theta_count; ++j) {
     model.theta_.push_back(body.f64("theta"));
   }
   if ((flags & kFlagDictionaries) != 0) {
-    model.values_.resize(static_cast<std::size_t>(d));
-    for (std::uint64_t r = 0; r < d; ++r) {
-      const auto m =
-          static_cast<std::size_t>(model.cardinalities_[static_cast<std::size_t>(r)]);
-      model.values_[static_cast<std::size_t>(r)].reserve(m);
-      for (std::size_t v = 0; v < m; ++v) {
-        model.values_[static_cast<std::size_t>(r)].push_back(
-            body.str("dictionary entry"));
+    model.values_.resize(cardinalities.size());
+    for (std::size_t r = 0; r < cardinalities.size(); ++r) {
+      for (int v = 0; v < cardinalities[r]; ++v) {
+        model.values_[r].push_back(body.str("dictionary entry"));
       }
     }
   }
@@ -299,18 +329,56 @@ Model Model::from_binary(const std::uint8_t* data, std::size_t size) {
     throw ArtifactError(std::to_string(body.remaining()) +
                         " trailing bytes after the last section");
   }
-  model.rebuild_scorer();
+  model.bank_.freeze();
   return model;
 }
 
 void Model::save_binary(const std::string& path,
                         bool include_training_labels) const {
   const std::vector<std::uint8_t> bytes = to_binary(include_training_labels);
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) throw ArtifactError("cannot open " + path + " for writing");
+  // Crash-safe replace: the bytes land in a sibling temp file, which is
+  // flushed to stable storage and then renamed over the target. rename is
+  // atomic, so the target always holds the previous artifact or the new
+  // one, never a torn mix; a failure removes the temp file it created.
+  const std::string tmp = path + ".tmp";
+#if defined(MCDC_ARTIFACT_MMAP)
+  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd < 0) throw ArtifactError("cannot open " + tmp + " for writing");
+  const auto discard = [&](const std::string& what) {
+    ::close(fd);
+    ::unlink(tmp.c_str());
+    throw ArtifactError(what);
+  };
+  std::size_t written = 0;
+  while (written < bytes.size()) {
+    const ::ssize_t w =
+        ::write(fd, bytes.data() + written, bytes.size() - written);
+    if (w < 0 && errno == EINTR) continue;
+    if (w <= 0) discard("short write to " + tmp);
+    written += static_cast<std::size_t>(w);
+  }
+  if (::fsync(fd) != 0) discard("cannot sync " + tmp);
+  if (::close(fd) != 0) {
+    ::unlink(tmp.c_str());
+    throw ArtifactError("cannot close " + tmp);
+  }
+  if (::rename(tmp.c_str(), path.c_str()) != 0) {
+    ::unlink(tmp.c_str());
+    throw ArtifactError("cannot rename " + tmp + " over " + path);
+  }
+#else
+  std::ofstream file(tmp, std::ios::binary | std::ios::trunc);
+  if (!file) throw ArtifactError("cannot open " + tmp + " for writing");
   file.write(reinterpret_cast<const char*>(bytes.data()),
              static_cast<std::streamsize>(bytes.size()));
-  if (!file) throw ArtifactError("short write to " + path);
+  file.close();
+  std::error_code error;
+  if (file) std::filesystem::rename(tmp, path, error);
+  if (!file || error) {
+    std::filesystem::remove(tmp, error);
+    throw ArtifactError("cannot write " + path);
+  }
+#endif
 }
 
 Model Model::load_binary(const std::string& path) {

@@ -11,7 +11,7 @@
 //   12     4     u32 header bytes (kArtifactHeaderBytes; fixed)
 //   16     8     u64 payload bytes (file size minus the header)
 //   24     4     u32 CRC-32 (IEEE 802.3) over the payload
-//   28     4     u32 k (clusters; > 0)
+//   28     4     u32 k (clusters; >= 0 — a k = 0 snapshot is valid)
 //   32     8     u64 d (features; > 0)
 //   40     8     u64 n (training labels; 0 when stripped)
 //   48     8     u64 flags (bit 0: value dictionaries present)
@@ -19,10 +19,13 @@
 //   64     ...   payload sections, in order:
 //                  method name        u32 len + bytes
 //                  cardinalities      i32[d]
-//                  cluster sizes      i32[k]
-//                  histogram bank     i32[m_r] per (cluster, feature),
-//                                     cluster-major — the frozen quotient
-//                                     bank is rebuilt from these by the
+//                  cluster sizes      f64[k]
+//                  non-null totals    f64[d] per cluster, cluster-major
+//                  histogram bank     f64[m_r] per (cluster, feature),
+//                                     cluster-major — the core::ProfileSet
+//                                     bank verbatim, so decayed fractional
+//                                     counts survive; the frozen quotient
+//                                     cache is rebuilt from these by the
 //                                     same divisions the JSON path runs
 //                  training labels    i32[n]
 //                  kappa staircase    u32 count + i32[count]
@@ -30,10 +33,17 @@
 //                  dictionaries       per feature, per value: u32 len + bytes
 //                                     (present when flags bit 0 is set)
 //
+// Version 1 artifacts still load. They hold i32 cluster sizes and i32
+// counts and no non-null section; the totals are derived as the row sums
+// of the counts, which is exact for integral counts. The writer always
+// emits version 2.
+//
 // Every load failure — truncation anywhere, a foreign magic, an unknown
 // version, a checksum mismatch, a section over-read, a semantically
-// impossible field — throws ArtifactError (a std::runtime_error subclass)
-// before any Model state is built: loads fail closed, never UB. The reader
+// impossible field (a negative cardinality; a negative, NaN or infinite
+// size, total or count) — throws ArtifactError (a std::runtime_error
+// subclass) before any Model state is built: loads fail closed, never UB.
+// Model::save_binary replaces its target atomically (model.h). The reader
 // bounds-checks every access against the mapped range, so a hostile file
 // costs at most one O(payload) pass.
 //
@@ -61,7 +71,7 @@ class ArtifactError : public std::runtime_error {
 // "MCDCMDL1", 8 bytes, no terminator.
 inline constexpr char kArtifactMagic[8] = {'M', 'C', 'D', 'C',
                                            'M', 'D', 'L', '1'};
-inline constexpr std::uint32_t kArtifactVersion = 1;
+inline constexpr std::uint32_t kArtifactVersion = 2;
 inline constexpr std::size_t kArtifactHeaderBytes = 64;
 
 // CRC-32 (IEEE 802.3, reflected, init/xorout 0xFFFFFFFF) — the artifact

@@ -178,11 +178,6 @@ FitResult Engine::fit(const data::DatasetView& ds,
 
   out.model = Model::from_fit(options.method, ds, result.labels, report.k,
                               report.kappa, report.theta);
-  if (options.compact_scorer) {
-    // Opt-in float32 scoring bank, adopted only when every training row
-    // keeps its label under it (see Model::try_compact_scorer).
-    out.model.try_compact_scorer(ds);
-  }
   // The report serves the model's self-consistent partition (identical to
   // the method's raw labels except for the few objects a Model::from_fit
   // polish sweep moves), so Model::predict on the training rows reproduces

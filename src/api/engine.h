@@ -42,12 +42,6 @@ struct FitOptions {
   // Per-granularity validity evidence (MCDC family only; costs one
   // silhouette pass per recorded stage).
   bool stage_reports = true;
-  // Try to adopt the compact float32 scoring bank after the fit: halves
-  // the predict working set, adopted only if every training row keeps its
-  // label under it (Model::try_compact_scorer — otherwise the bit-exact
-  // f64 bank stays). Off by default: the byte-identity determinism
-  // contract on scores applies only to the f64 bank.
-  bool compact_scorer = false;
 };
 
 struct FitResult {

@@ -1,7 +1,9 @@
 #include "api/json.h"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <limits>
 #include <stdexcept>
 
@@ -383,17 +385,16 @@ class Parser {
       }
       if (digits() == 0) error("bad number: digits required in exponent");
     }
-    try {
-      std::size_t used = 0;
-      const std::string token = text_.substr(start, pos_ - start);
-      const double value = std::stod(token, &used);
-      if (used != token.size()) error("bad number");
-      return Json(value);
-    } catch (const std::out_of_range&) {
-      error("number out of range");
-    } catch (const std::invalid_argument&) {
-      error("bad number");
-    }
+    // strtod rather than stod: stod throws on *underflow* too, and a
+    // subnormal (say a long-decayed histogram count, printed by dump())
+    // must read back exactly. Only overflow to infinity is out of range.
+    const std::string token = text_.substr(start, pos_ - start);
+    char* end = nullptr;
+    errno = 0;
+    const double value = std::strtod(token.c_str(), &end);
+    if (end != token.c_str() + token.size()) error("bad number");
+    if (errno == ERANGE && std::isinf(value)) error("number out of range");
+    return Json(value);
   }
 
   const std::string& text_;

@@ -1,6 +1,7 @@
 #include "api/model.h"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 #include <unordered_map>
 #include <utility>
@@ -49,8 +50,6 @@ Model Model::from_fit(std::string method, const data::DatasetView& ds,
   }
   Model model;
   model.method_ = std::move(method);
-  model.k_ = k;
-  model.cardinalities_ = ds.cardinalities();
   model.values_.resize(ds.num_features());
   for (std::size_t r = 0; r < ds.num_features(); ++r) {
     model.values_[r].reserve(static_cast<std::size_t>(ds.cardinality(r)));
@@ -65,73 +64,49 @@ Model Model::from_fit(std::string method, const data::DatasetView& ds,
       model.training_labels_ = std::move(refined);
     }
   }
-  model.profiles_ = core::build_profiles(ds, model.training_labels_, k);
+  model.bank_ =
+      core::ProfileSet::from_assignment(ds, model.training_labels_, k);
+  model.bank_.freeze();
   model.kappa_ = std::move(kappa);
   model.theta_ = std::move(theta);
-  model.rebuild_scorer();
   return model;
 }
 
-Model Model::from_profiles(std::string method, std::vector<int> cardinalities,
-                           std::vector<core::ClusterProfile> profiles,
+Model Model::from_profiles(std::string method, core::ProfileSet profiles,
                            std::vector<std::vector<std::string>> values) {
-  if (cardinalities.empty()) {
+  if (profiles.num_features() == 0) {
     throw std::invalid_argument("Model::from_profiles: empty schema");
   }
-  if (!values.empty() && values.size() != cardinalities.size()) {
+  if (!values.empty() && values.size() != profiles.num_features()) {
     throw std::invalid_argument(
         "Model::from_profiles: values/cardinalities mismatch");
   }
-  for (const core::ClusterProfile& profile : profiles) {
-    if (profile.counts().size() != cardinalities.size()) {
-      throw std::invalid_argument(
-          feature_width_message("Model::from_profiles", cardinalities.size(),
-                                profile.counts().size()));
-    }
-    for (std::size_t r = 0; r < cardinalities.size(); ++r) {
-      if (profile.counts()[r].size() !=
-          static_cast<std::size_t>(cardinalities[r])) {
-        throw std::invalid_argument(
-            "Model::from_profiles: profile cardinality mismatch");
-      }
-    }
-  }
   Model model;
   model.method_ = std::move(method);
-  model.k_ = static_cast<int>(profiles.size());
-  model.cardinalities_ = std::move(cardinalities);
   model.values_ = std::move(values);
-  model.profiles_ = std::move(profiles);
-  model.rebuild_scorer();
+  model.bank_ = std::move(profiles);
+  model.bank_.freeze();
   return model;
-}
-
-void Model::rebuild_scorer() {
-  // from_profiles on an empty list has no schema to carry, so a k = 0
-  // model builds its (empty, but schema-aware) bank directly.
-  scorer_ = profiles_.empty() ? core::ProfileSet(cardinalities_, 0)
-                              : core::ProfileSet::from_profiles(profiles_);
-  scorer_.freeze();
 }
 
 int Model::predict_row(const data::Value* row) const {
   if (!has_schema()) {
     throw std::logic_error("Model::predict_row: unfitted model");
   }
-  if (k_ == 0) return -1;  // empty snapshot: nothing to assign to
+  if (k() == 0) return -1;  // empty snapshot: nothing to assign to
   // Codes outside the model's domain (unseen categories, kMissing) score
   // as missing — the scorer clamps them, so no sanitising pass is needed.
   std::vector<double> scratch;
-  return scorer_.best_cluster(row, scratch);
+  return bank_.best_cluster(row, scratch);
 }
 
 double Model::predict_score(const data::Value* row) const {
   if (!has_schema()) {
     throw std::logic_error("Model::predict_score: unfitted model");
   }
-  if (k_ == 0) return 0.0;
-  std::vector<double> scores(static_cast<std::size_t>(k_));
-  scorer_.score_all(row, scores.data());
+  if (k() == 0) return 0.0;
+  std::vector<double> scores(static_cast<std::size_t>(k()));
+  bank_.score_all(row, scores.data());
   double best = 0.0;
   for (const double s : scores) best = std::max(best, s);
   return best;
@@ -142,74 +117,30 @@ void Model::predict_rows(const data::Value* rows, std::size_t n,
   if (!has_schema()) {
     throw std::logic_error("Model::predict_rows: unfitted model");
   }
-  if (k_ == 0) {
+  if (k() == 0) {
     std::fill(out, out + n, -1);
     return;
   }
   const std::size_t d = num_features();
   parallel_chunks(n, 64, [&](std::size_t lo, std::size_t hi) {
-    scorer_.best_clusters(rows + lo * d, hi - lo, out + lo);
+    bank_.best_clusters(rows + lo * d, hi - lo, out + lo);
   });
 }
 
-bool Model::try_compact_scorer(const data::DatasetView& ds) {
-  if (!has_schema()) {
-    throw std::logic_error("Model::try_compact_scorer: unfitted model");
-  }
-  if (ds.num_features() != num_features()) {
-    throw std::invalid_argument(feature_width_message(
-        "Model::try_compact_scorer", num_features(), ds.num_features()));
-  }
-  const std::size_t n = ds.num_objects();
-  // No rows proves nothing — keep the bit-exact f64 bank.
-  if (k_ == 0 || n == 0) return false;
-  scorer_.freeze();
-  std::vector<int> f64_labels(n);
-  scorer_.best_clusters(ds, 0, n, f64_labels.data());
-  scorer_.freeze_compact();
-  std::vector<int> f32_labels(n);
-  scorer_.best_clusters(ds, 0, n, f32_labels.data());
-  if (f64_labels != f32_labels) {
-    scorer_.thaw_compact();
-    return false;
-  }
-  return true;
-}
-
-bool Model::try_compact_scorer(const data::Value* rows, std::size_t n) {
-  if (!has_schema()) {
-    throw std::logic_error("Model::try_compact_scorer: unfitted model");
-  }
-  if (k_ == 0 || n == 0) return false;
-  scorer_.freeze();
-  std::vector<int> f64_labels(n);
-  scorer_.best_clusters(rows, n, f64_labels.data());
-  scorer_.freeze_compact();
-  std::vector<int> f32_labels(n);
-  scorer_.best_clusters(rows, n, f32_labels.data());
-  if (f64_labels != f32_labels) {
-    scorer_.thaw_compact();
-    return false;
-  }
-  return true;
-}
-
-bool Model::compact_scorer() const { return scorer_.compact_frozen(); }
-
 std::vector<data::Value> Model::cluster_mode(int l) const {
   if (!fitted()) throw std::logic_error("Model::cluster_mode: unfitted model");
-  if (l < 0 || l >= k_) {
+  if (l < 0 || l >= k()) {
     throw std::logic_error("Model::cluster_mode: cluster id out of range");
   }
-  return scorer_.mode(l);
+  return bank_.mode(l);
 }
 
 double Model::cluster_mass(int l) const {
   if (!fitted()) throw std::logic_error("Model::cluster_mass: unfitted model");
-  if (l < 0 || l >= k_) {
+  if (l < 0 || l >= k()) {
     throw std::logic_error("Model::cluster_mass: cluster id out of range");
   }
-  return scorer_.size(l);
+  return bank_.size(l);
 }
 
 std::vector<std::vector<data::Value>> Model::encoding_map(
@@ -240,7 +171,7 @@ std::vector<std::vector<data::Value>> Model::encoding_map(
         // Model without dictionaries (legacy JSON): codes pass through
         // when they are in range.
         remap[r][static_cast<std::size_t>(v)] =
-            v < cardinalities_[r] ? v : data::kMissing;
+            v < cardinalities()[r] ? v : data::kMissing;
       } else {
         const auto it = codes.find(ds.value_name(r, v));
         remap[r][static_cast<std::size_t>(v)] =
@@ -254,7 +185,7 @@ std::vector<std::vector<data::Value>> Model::encoding_map(
 std::vector<int> Model::predict(const data::DatasetView& ds) const {
   if (!has_schema()) throw std::logic_error("Model::predict: unfitted model");
   const std::vector<std::vector<data::Value>> remap = encoding_map(ds);
-  if (k_ == 0) return std::vector<int>(ds.num_objects(), -1);
+  if (k() == 0) return std::vector<int>(ds.num_objects(), -1);
 
   // Scoring is per-row independent against the frozen bank, so rows fan
   // out over the shared pool; chunks write disjoint label slots, keeping
@@ -273,7 +204,7 @@ std::vector<int> Model::predict(const data::DatasetView& ds) const {
                                      : remap[r][static_cast<std::size_t>(v)];
       }
     }
-    scorer_.best_clusters(encoded.data(), hi - lo, labels.data() + lo);
+    bank_.best_clusters(encoded.data(), hi - lo, labels.data() + lo);
   });
   return labels;
 }
@@ -281,10 +212,10 @@ std::vector<int> Model::predict(const data::DatasetView& ds) const {
 Json Model::to_json(bool include_training_labels) const {
   Json out = Json::object();
   out["method"] = method_;
-  out["k"] = k_;
+  out["k"] = k();
 
   Json cards = Json::array();
-  for (const int m : cardinalities_) cards.push_back(m);
+  for (const int m : cardinalities()) cards.push_back(m);
   out["cardinalities"] = std::move(cards);
 
   if (!values_.empty()) {
@@ -297,16 +228,23 @@ Json Model::to_json(bool include_training_labels) const {
     out["values"] = std::move(values);
   }
 
+  // The bank verbatim: integral values print as integers, decayed
+  // fractional ones round-trip exactly (%.17g).
   Json clusters = Json::array();
-  for (const core::ClusterProfile& profile : profiles_) {
+  for (int l = 0; l < k(); ++l) {
     Json cluster = Json::object();
-    cluster["size"] = profile.size();
+    cluster["size"] = bank_.size(l);
+    Json non_null = Json::array();
     Json counts = Json::array();
-    for (const auto& feature_counts : profile.counts()) {
+    for (std::size_t r = 0; r < num_features(); ++r) {
+      non_null.push_back(bank_.non_null(l, r));
       Json row = Json::array();
-      for (const int c : feature_counts) row.push_back(c);
+      for (data::Value v = 0; v < cardinalities()[r]; ++v) {
+        row.push_back(bank_.count(l, r, v));
+      }
       counts.push_back(std::move(row));
     }
+    cluster["non_null"] = std::move(non_null);
     cluster["counts"] = std::move(counts);
     clusters.push_back(std::move(cluster));
   }
@@ -332,25 +270,28 @@ Json Model::to_json(bool include_training_labels) const {
 Model Model::from_json(const Json& json) {
   Model model;
   model.method_ = json.at("method").as_string();
-  model.k_ = json.at("k").as_int();
+  const int k = json.at("k").as_int();
   // k = 0 is a valid empty snapshot (predicts -1); negative k is garbage.
-  if (model.k_ < 0) throw std::runtime_error("model json: k must be >= 0");
+  if (k < 0) throw std::runtime_error("model json: k must be >= 0");
 
+  std::vector<int> cardinalities;
   const Json& cards = json.at("cardinalities");
   for (std::size_t r = 0; r < cards.size(); ++r) {
-    model.cardinalities_.push_back(cards.at(r).as_int());
+    cardinalities.push_back(cards.at(r).as_int());
+    if (cardinalities.back() < 0) {
+      throw std::runtime_error("model json: negative cardinality");
+    }
   }
-  if (model.cardinalities_.empty()) {
-    throw std::runtime_error("model json: empty schema");
-  }
+  const std::size_t d = cardinalities.size();
+  if (d == 0) throw std::runtime_error("model json: empty schema");
 
   if (json.contains("values")) {
     const Json& values = json.at("values");
-    if (values.size() != model.cardinalities_.size()) {
+    if (values.size() != d) {
       throw std::runtime_error("model json: values/cardinalities mismatch");
     }
-    model.values_.resize(values.size());
-    for (std::size_t r = 0; r < values.size(); ++r) {
+    model.values_.resize(d);
+    for (std::size_t r = 0; r < d; ++r) {
       const Json& names = values.at(r);
       for (std::size_t v = 0; v < names.size(); ++v) {
         model.values_[r].push_back(names.at(v).as_string());
@@ -358,30 +299,53 @@ Model Model::from_json(const Json& json) {
     }
   }
 
+  // Sizes, totals and counts must be finite and non-negative: a negative
+  // count would score rows outside [0, 1].
+  const auto histogram_value = [](const Json& value) {
+    const double x = value.as_double();
+    if (!std::isfinite(x) || x < 0.0) {
+      throw std::runtime_error(
+          "model json: negative or non-finite histogram value");
+    }
+    return x;
+  };
   const Json& clusters = json.at("clusters");
-  if (clusters.size() != static_cast<std::size_t>(model.k_)) {
+  if (clusters.size() != static_cast<std::size_t>(k)) {
     throw std::runtime_error("model json: cluster count does not match k");
   }
+  std::vector<double> sizes;
+  std::vector<double> non_null;
+  std::vector<double> counts;
   for (std::size_t l = 0; l < clusters.size(); ++l) {
     const Json& cluster = clusters.at(l);
+    sizes.push_back(histogram_value(cluster.at("size")));
     const Json& counts_json = cluster.at("counts");
-    if (counts_json.size() != model.cardinalities_.size()) {
+    if (counts_json.size() != d) {
       throw std::runtime_error("model json: counts/cardinalities mismatch");
     }
-    std::vector<std::vector<int>> counts(counts_json.size());
-    for (std::size_t r = 0; r < counts_json.size(); ++r) {
+    // Documents without non-null totals hold integral counts, whose row
+    // sums are exactly the totals.
+    const bool has_totals = cluster.contains("non_null");
+    if (has_totals && cluster.at("non_null").size() != d) {
+      throw std::runtime_error("model json: non_null/cardinalities mismatch");
+    }
+    for (std::size_t r = 0; r < d; ++r) {
       const Json& row = counts_json.at(r);
-      if (row.size() != static_cast<std::size_t>(model.cardinalities_[r])) {
+      if (row.size() != static_cast<std::size_t>(cardinalities[r])) {
         throw std::runtime_error("model json: counts row width mismatch");
       }
-      counts[r].reserve(row.size());
+      double total = 0.0;
       for (std::size_t v = 0; v < row.size(); ++v) {
-        counts[r].push_back(row.at(v).as_int());
+        counts.push_back(histogram_value(row.at(v)));
+        total += counts.back();
       }
+      non_null.push_back(
+          has_totals ? histogram_value(cluster.at("non_null").at(r)) : total);
     }
-    model.profiles_.push_back(core::ClusterProfile::from_counts(
-        std::move(counts), cluster.at("size").as_int()));
   }
+  model.bank_ =
+      core::ProfileSet::from_arrays(cardinalities, sizes, non_null, counts);
+  model.bank_.freeze();
 
   if (json.contains("training_labels")) {
     const Json& labels = json.at("training_labels");
@@ -401,7 +365,6 @@ Model Model::from_json(const Json& json) {
       model.theta_.push_back(theta.at(j).as_double());
     }
   }
-  model.rebuild_scorer();
   return model;
 }
 

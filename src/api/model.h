@@ -21,7 +21,6 @@
 
 #include "api/json.h"
 #include "core/profile_set.h"
-#include "core/similarity.h"
 #include "data/dataset.h"
 #include "data/view.h"
 
@@ -48,28 +47,30 @@ class Model {
                         std::vector<int> kappa = {},
                         std::vector<double> theta = {}, bool refine = true);
 
-  // Builds a model directly from per-cluster histogram profiles — the
-  // snapshot boundary the online learners export through
-  // (StreamingMgcpl::to_model, RgclLearner::to_model). `profiles` may be
-  // empty: the result is a valid k = 0 model with a schema, which predicts
+  // Builds a model directly from a histogram bank — the snapshot boundary
+  // the online learners export through (StreamingMgcpl::to_model,
+  // RgclLearner::to_model). The bank's counts, non-null totals and sizes
+  // are kept verbatim (decayed fractional values included), and its schema
+  // is the model's. A k = 0 bank gives a valid k = 0 model, which predicts
   // -1 for every row (the classify() contract of an empty learner) and
   // still round-trips through JSON and the binary artifact — a serving
   // tier can hold it without wedging. `values` carries the per-feature
   // dictionaries when the producer has them; empty means raw codes pass
   // through on predict(ds). Throws std::invalid_argument on an empty
-  // schema or a profile whose shape disagrees with `cardinalities`.
-  static Model from_profiles(std::string method, std::vector<int> cardinalities,
-                             std::vector<core::ClusterProfile> profiles,
+  // schema or dictionaries of the wrong width.
+  static Model from_profiles(std::string method, core::ProfileSet profiles,
                              std::vector<std::vector<std::string>> values = {});
 
-  bool fitted() const { return k_ > 0; }
+  bool fitted() const { return k() > 0; }
   // True once the model carries a schema — every fitted model does, and so
   // does a k = 0 online snapshot (which is servable but answers -1).
-  bool has_schema() const { return !cardinalities_.empty(); }
-  int k() const { return k_; }
+  bool has_schema() const { return num_features() > 0; }
+  int k() const { return bank_.num_clusters(); }
   const std::string& method() const { return method_; }
-  std::size_t num_features() const { return cardinalities_.size(); }
-  const std::vector<int>& cardinalities() const { return cardinalities_; }
+  std::size_t num_features() const { return bank_.num_features(); }
+  const std::vector<int>& cardinalities() const {
+    return bank_.cardinalities();
+  }
   // Per-feature value dictionaries in model code order; empty when the
   // model was built from raw codes (e.g. an online snapshot without a
   // source dataset). Online learners thread these through to_model() so a
@@ -110,25 +111,6 @@ class Model {
   // drains coalesced requests through it).
   void predict_rows(const data::Value* rows, std::size_t n, int* out) const;
 
-  // Opt-in compact scoring bank: narrows the frozen quotient cache to
-  // float32 (half the working set of the batch sweep), adopting it ONLY
-  // if every row of `ds` — which must be in the model's own encoding,
-  // e.g. the training view or an online window — gets the same label from
-  // both banks. Returns whether the compact bank was adopted; on false
-  // (including an empty `ds`, which proves nothing) the bit-exact f64
-  // bank stays. After adoption, predict labels on rows beyond `ds` may in
-  // principle differ at f32 rounding, and predict_score may differ in
-  // low-order bits — callers that need the byte-identity contract leave
-  // this off (it is opt-in per fit: FitOptions/OnlineConfig
-  // compact_scorer). Rebuilding the scorer (refit, JSON/binary load)
-  // drops the compact bank until revalidated.
-  bool try_compact_scorer(const data::DatasetView& ds);
-  // The same gate over n contiguous row-major rows in the model's
-  // encoding — the OnlineUpdater validates against its drift window.
-  bool try_compact_scorer(const data::Value* rows, std::size_t n);
-  // True while the compact float32 bank is active.
-  bool compact_scorer() const;
-
   // Vectorised predict over a whole dataset. Because datasets are
   // dictionary-encoded per source in first-seen order, codes of an
   // independently loaded dataset are re-mapped into the model's encoding
@@ -146,12 +128,13 @@ class Model {
   std::vector<std::vector<data::Value>> encoding_map(
       const data::DatasetView& ds) const;
 
-  // The flat scoring bank — every cluster's per-feature value histograms
-  // in ProfileSet layout. Read-only; the serving drift detectors pool its
-  // per-feature marginals (ProfileSet::marginal_distribution) to compare
-  // live traffic against what the model was trained on. Empty (k = 0)
-  // until the model is fitted.
-  const core::ProfileSet& profile_bank() const { return scorer_; }
+  // The histogram bank — every cluster's size, per-feature non-null totals
+  // and value counts, exactly as serialised. Read-only; the serving drift
+  // detectors pool its per-feature marginals
+  // (ProfileSet::marginal_distribution) to compare live traffic against
+  // what the model was trained on. Empty (k = 0) until the model is
+  // fitted.
+  const core::ProfileSet& profile_bank() const { return bank_; }
 
   // Mode (most frequent value per feature, ties to the smallest code) and
   // training mass of cluster l — the locality router's view of a cluster
@@ -163,17 +146,24 @@ class Model {
   // used when the model is embedded next to a RunReport that already
   // carries the same labels.
   Json to_json(bool include_training_labels = true) const;
-  // Inverse of to_json; throws std::runtime_error on malformed input.
+  // Inverse of to_json; throws std::runtime_error on malformed input,
+  // negative or non-finite histogram values included. Documents without
+  // per-cluster "non_null" totals load with the totals derived as row sums
+  // of their (integral) counts.
   static Model from_json(const Json& json);
 
   // Binary artifact round trip (artifact.h has the format). to_binary /
   // from_binary work on in-memory buffers; save_binary / load_binary on
   // files (load_binary maps the file on POSIX instead of streaming it).
-  // Serialising a schema-less (default-constructed) model throws
-  // std::logic_error — a k = 0 online snapshot serialises fine; every load
-  // failure — truncation, bad magic, unknown version, checksum mismatch,
-  // impossible fields — throws ArtifactError before any state is built.
-  // `include_training_labels = false` strips the label array, as to_json.
+  // save_binary writes a sibling "<path>.tmp", fsyncs it and renames it
+  // over `path`, so a crash or failed write never leaves a torn artifact:
+  // readers see the previous file or the new one. Serialising a
+  // schema-less (default-constructed) model throws std::logic_error — a
+  // k = 0 online snapshot serialises fine; every load or write failure —
+  // truncation, bad magic, unknown version, checksum mismatch, impossible
+  // fields, an unwritable target — throws ArtifactError, and a failed load
+  // builds no state. `include_training_labels = false` strips the label
+  // array, as to_json.
   std::vector<std::uint8_t> to_binary(bool include_training_labels = true) const;
   static Model from_binary(const std::uint8_t* data, std::size_t size);
   void save_binary(const std::string& path,
@@ -181,21 +171,16 @@ class Model {
   static Model load_binary(const std::string& path);
 
  private:
-  // Rebuilds the flat frozen scorer_ from profiles_ (after fit / JSON load).
-  void rebuild_scorer();
-
   std::string method_;
-  int k_ = 0;
-  std::vector<int> cardinalities_;
   // Per-feature value dictionaries in model code order, captured from the
   // training dataset so predict() can re-encode foreign datasets.
   std::vector<std::vector<std::string>> values_;
   std::vector<int> training_labels_;
-  std::vector<core::ClusterProfile> profiles_;  // one per cluster (serialised)
-  // The same histograms as one flat frozen bank — the scoring hot path
-  // (see profile_set.h); predict batch-scores all k clusters per row and
-  // fans rows out over the shared thread pool.
-  core::ProfileSet scorer_;
+  // The one histogram bank (profile_set.h): it carries the schema and k,
+  // is what JSON and the artifact serialise, and is frozen once built so
+  // predict batch-scores all k clusters per row division-free, fanning
+  // rows out over the shared thread pool.
+  core::ProfileSet bank_;
   std::vector<int> kappa_;
   std::vector<double> theta_;
 };

@@ -1,17 +1,17 @@
 #include "baselines/wocil.h"
 
+#include <algorithm>
 #include <cmath>
-#include <limits>
-#include <numeric>
 #include <stdexcept>
 
-#include "core/similarity.h"
+#include "core/profile_set.h"
+#include "core/simd.h"
 
 namespace mcdc::baselines {
 
 namespace {
 
-using core::ClusterProfile;
+using core::ProfileSet;
 using data::Dataset;
 using data::Value;
 
@@ -67,25 +67,24 @@ std::vector<std::size_t> stable_seeds(const data::DatasetView& ds, int k) {
   return seeds;
 }
 
-// Subspace weights of one cluster: concentration (1 - normalised entropy)
+// Subspace weights of cluster l: concentration (1 - normalised entropy)
 // per attribute, normalised to sum 1.
-std::vector<double> subspace_weights(const ClusterProfile& profile,
-                                     const data::DatasetView& ds) {
-  const std::size_t d = ds.num_features();
+std::vector<double> subspace_weights(const ProfileSet& profiles, int l) {
+  const std::size_t d = profiles.num_features();
   std::vector<double> w(d, 0.0);
   double total = 0.0;
   for (std::size_t r = 0; r < d; ++r) {
-    const int m_r = ds.cardinality(r);
-    const int denom = profile.non_null_count(r);
-    if (m_r <= 1 || denom == 0) {
+    const int m_r = profiles.cardinalities()[r];
+    const double denom = profiles.non_null(l, r);
+    if (m_r <= 1 || denom <= 0.0) {
       w[r] = 0.0;  // a single-valued attribute separates nothing
       continue;
     }
     double h = 0.0;
     for (int v = 0; v < m_r; ++v) {
-      const int c = profile.value_count(r, v);
-      if (c == 0) continue;
-      const double p = static_cast<double>(c) / denom;
+      const double c = profiles.count(l, r, v);
+      if (c == 0.0) continue;
+      const double p = c / denom;
       h -= p * std::log(p);
     }
     w[r] = 1.0 - h / std::log(static_cast<double>(m_r));
@@ -109,42 +108,41 @@ ClusterResult Wocil::cluster(const data::DatasetView& ds, int k,
   }
 
   std::vector<int> labels(n, -1);
-  std::vector<ClusterProfile> profiles(
-      static_cast<std::size_t>(k), ClusterProfile(ds.cardinalities()));
+  ProfileSet profiles(ds.cardinalities(), k);
   const auto seeds = stable_seeds(ds, k);
   for (std::size_t l = 0; l < seeds.size(); ++l) {
-    profiles[l].add(ds, seeds[l]);
+    profiles.add(static_cast<int>(l), ds, seeds[l]);
     labels[seeds[l]] = static_cast<int>(l);
   }
-  std::vector<std::vector<double>> weights(
-      static_cast<std::size_t>(k),
-      std::vector<double>(ds.num_features(), 1.0 / static_cast<double>(ds.num_features())));
+  // Feature-major weight bank, weights[r * k + l] = w_rl — the layout
+  // ProfileSet::weighted_score_all consumes — refreshed once per iteration.
+  const std::size_t d = ds.num_features();
+  const auto ku = static_cast<std::size_t>(k);
+  std::vector<double> weights(d * ku, 1.0 / static_cast<double>(d));
+  std::vector<double> scores(ku);
 
   for (int iter = 0; iter < config_.max_iterations; ++iter) {
     bool changed = false;
     for (std::size_t i = 0; i < n; ++i) {
-      int best = 0;
-      double best_sim = -std::numeric_limits<double>::infinity();
-      for (int l = 0; l < k; ++l) {
-        const auto lu = static_cast<std::size_t>(l);
-        const double s = profiles[lu].weighted_similarity(ds, i, weights[lu]);
-        if (s > best_sim) {
-          best_sim = s;
-          best = l;
-        }
-      }
+      // Live scores (the sweep moves objects as it goes); ties go to the
+      // lowest cluster id.
+      profiles.weighted_score_all(ds, i, weights.data(), scores.data());
+      const int best = core::simd::kernels().argmax(scores.data(), ku);
       if (labels[i] != best) {
         if (labels[i] >= 0) {
-          profiles[static_cast<std::size_t>(labels[i])].remove(ds, i);
+          profiles.move(labels[i], best, ds, i);
+        } else {
+          profiles.add(best, ds, i);
         }
-        profiles[static_cast<std::size_t>(best)].add(ds, i);
         labels[i] = best;
         changed = true;
       }
     }
     for (int l = 0; l < k; ++l) {
-      const auto lu = static_cast<std::size_t>(l);
-      weights[lu] = subspace_weights(profiles[lu], ds);
+      const std::vector<double> w = subspace_weights(profiles, l);
+      for (std::size_t r = 0; r < d; ++r) {
+        weights[r * ku + static_cast<std::size_t>(l)] = w[r];
+      }
     }
     if (!changed) break;
   }

@@ -5,7 +5,7 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "core/similarity.h"
+#include "core/profile_set.h"
 
 namespace mcdc::core {
 
@@ -38,15 +38,9 @@ AnomalyResult score_anomalies(const data::DatasetView& ds,
   const int k = mgcpl.kappa[static_cast<std::size_t>(stage)];
   const std::size_t n = ds.num_objects();
 
-  // Cluster profiles for the similarity term, sizes for the rarity term.
-  std::vector<ClusterProfile> profiles(static_cast<std::size_t>(k),
-                                       ClusterProfile(ds.cardinalities()));
-  std::vector<std::size_t> sizes(static_cast<std::size_t>(k), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto l = static_cast<std::size_t>(labels[i]);
-    profiles[l].add(ds, i);
-    ++sizes[l];
-  }
+  // One histogram bank: profiles for the similarity term, sizes for the
+  // rarity term.
+  const ProfileSet bank = ProfileSet::from_assignment(ds, labels, k);
 
   // Rarity normalised against the smallest cluster (score 1) and the whole
   // dataset (score 0).
@@ -57,10 +51,9 @@ AnomalyResult score_anomalies(const data::DatasetView& ds,
   std::vector<double> rarity(static_cast<std::size_t>(k), 0.0);
   for (int l = 0; l < k; ++l) {
     const auto lu = static_cast<std::size_t>(l);
-    rarity[lu] = sizes[lu] == 0
+    rarity[lu] = bank.empty(l)
                      ? 0.0
-                     : -std::log(static_cast<double>(sizes[lu]) /
-                                 static_cast<double>(n)) /
+                     : -std::log(bank.size(l) / static_cast<double>(n)) /
                            log_n;
     max_rarity = std::max(max_rarity, rarity[lu]);
   }
@@ -70,9 +63,10 @@ AnomalyResult score_anomalies(const data::DatasetView& ds,
 
   const double w = config.rarity_weight;
   for (std::size_t i = 0; i < n; ++i) {
-    const auto l = static_cast<std::size_t>(labels[i]);
-    const double eccentricity = 1.0 - profiles[l].similarity(ds, i);
-    out.scores[i] = w * rarity[l] + (1.0 - w) * eccentricity;
+    const int l = labels[i];
+    const double eccentricity = 1.0 - bank.score_one(l, ds, i);
+    out.scores[i] =
+        w * rarity[static_cast<std::size_t>(l)] + (1.0 - w) * eccentricity;
   }
 
   out.ranking.resize(n);

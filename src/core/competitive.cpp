@@ -163,13 +163,6 @@ void CompetitiveStage::reset_learning_state() {
                    : 1.0);
 }
 
-std::vector<ClusterProfile> CompetitiveStage::profiles() const {
-  std::vector<ClusterProfile> out;
-  out.reserve(static_cast<std::size_t>(set_.num_clusters()));
-  for (int l = 0; l < set_.num_clusters(); ++l) out.push_back(set_.profile(l));
-  return out;
-}
-
 void CompetitiveStage::refresh_feature_weights() {
   for (int l = 0; l < set_.num_clusters(); ++l) {
     omega_[static_cast<std::size_t>(l)] = feature_weights(global_, set_, l);

@@ -23,7 +23,6 @@
 
 #include "core/feature_weights.h"
 #include "core/profile_set.h"
-#include "core/similarity.h"
 #include "data/dataset.h"
 #include "data/view.h"
 
@@ -101,8 +100,6 @@ class CompetitiveStage {
   const std::vector<int>& assignment() const { return assignment_; }
   // Flat histogram bank of the live clusters (the scoring hot path).
   const ProfileSet& profile_set() const { return set_; }
-  // Materialised per-cluster view (introspection / tests; O(k * sum m_r)).
-  std::vector<ClusterProfile> profiles() const;
   const std::vector<std::vector<double>>& omega() const { return omega_; }
   const std::vector<double>& cluster_weights() const { return u_; }
 

@@ -11,20 +11,6 @@ GlobalCounts::GlobalCounts(const data::DatasetView& ds)
   }
 }
 
-// The ClusterProfile overloads delegate to the ProfileSet implementations
-// below (the representation production code scores against), so the Eq.
-// (15)-(18) math exists exactly once. Counts are integral in both
-// representations, hence the results are bit-identical.
-double inter_cluster_difference(const GlobalCounts& global,
-                                const ClusterProfile& cluster, std::size_t r) {
-  return inter_cluster_difference(global, ProfileSet::from_profiles({cluster}),
-                                  0, r);
-}
-
-double intra_cluster_similarity(const ClusterProfile& cluster, std::size_t r) {
-  return intra_cluster_similarity(ProfileSet::from_profiles({cluster}), 0, r);
-}
-
 double inter_cluster_difference(const GlobalCounts& global,
                                 const ProfileSet& set, int l, std::size_t r) {
   const double in_denom = set.non_null(l, r);
@@ -72,11 +58,6 @@ std::vector<double> feature_weights(const GlobalCounts& global,
   }
   for (double& w : h) w /= total;
   return h;
-}
-
-std::vector<double> feature_weights(const GlobalCounts& global,
-                                    const ClusterProfile& cluster) {
-  return feature_weights(global, ProfileSet::from_profiles({cluster}), 0);
 }
 
 }  // namespace mcdc::core

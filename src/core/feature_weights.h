@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "core/profile_set.h"
-#include "core/similarity.h"
 #include "data/dataset.h"
 #include "data/view.h"
 
@@ -30,26 +29,15 @@ struct GlobalCounts {
   std::vector<int> non_null;             // [feature]
 };
 
-// Eq. (15): separation of cluster's value distribution from the rest.
-double inter_cluster_difference(const GlobalCounts& global,
-                                const ClusterProfile& cluster, std::size_t r);
-
-// Eq. (16): concentration of the cluster along feature r.
-double intra_cluster_similarity(const ClusterProfile& cluster, std::size_t r);
-
-// Eqs. (15)-(18) for one cluster: the length-d probability vector w_{.l}.
-// Falls back to uniform weights when every H_rl is zero (e.g. a cluster of
-// fully identical rows equal to the global distribution).
-std::vector<double> feature_weights(const GlobalCounts& global,
-                                    const ClusterProfile& cluster);
-
-// The same Eqs. (15)-(18) against cluster l of a flat ProfileSet bank (the
-// hot-loop representation — see profile_set.h). Counts there are doubles
-// holding integral values, so the weights are bit-identical to the
-// ClusterProfile overloads.
+// Eq. (15) for cluster l of the bank: separation of the cluster's value
+// distribution along feature r from the rest of the data.
 double inter_cluster_difference(const GlobalCounts& global,
                                 const ProfileSet& set, int l, std::size_t r);
+// Eq. (16): concentration of cluster l along feature r.
 double intra_cluster_similarity(const ProfileSet& set, int l, std::size_t r);
+// Eqs. (15)-(18) for cluster l: the length-d probability vector w_{.l}.
+// Falls back to uniform weights when every H_rl is zero (e.g. a cluster of
+// fully identical rows equal to the global distribution).
 std::vector<double> feature_weights(const GlobalCounts& global,
                                     const ProfileSet& set, int l);
 

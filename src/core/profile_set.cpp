@@ -24,8 +24,7 @@ constexpr std::size_t round_up_stride(std::size_t slots) {
 // register-blocked score_row microkernel sweeps them.
 constexpr std::size_t kRowTile = 32;
 
-template <class T>
-void assert_bank_aligned(const AlignedVec<T>& bank) {
+void assert_bank_aligned(const AlignedVec<double>& bank) {
   // mcdc-lint: allow(D4) debug alignment assert — the address feeds a
   // modulus check, never an ordering or a key.
   assert(bank.empty() ||
@@ -116,35 +115,50 @@ ProfileSet ProfileSet::from_assignment(const data::DatasetView& ds,
   return set;
 }
 
-ProfileSet ProfileSet::from_profiles(
-    const std::vector<ClusterProfile>& profiles) {
-  if (profiles.empty()) return {};
-  std::vector<int> cardinalities;
-  cardinalities.reserve(profiles.front().counts().size());
-  for (const auto& feature_counts : profiles.front().counts()) {
-    cardinalities.push_back(static_cast<int>(feature_counts.size()));
+ProfileSet ProfileSet::from_arrays(const std::vector<int>& cardinalities,
+                                   const std::vector<double>& sizes,
+                                   const std::vector<double>& non_null,
+                                   const std::vector<double>& counts) {
+  ProfileSet set(cardinalities, static_cast<int>(sizes.size()));
+  const std::size_t k = sizes.size();
+  const std::size_t d = cardinalities.size();
+  const std::size_t cells = set.total_cells_;
+  if (non_null.size() != k * d || counts.size() != k * cells) {
+    throw std::invalid_argument("ProfileSet::from_arrays: length mismatch");
   }
-  ProfileSet set(cardinalities, static_cast<int>(profiles.size()));
-  for (std::size_t l = 0; l < profiles.size(); ++l) {
-    const auto& counts = profiles[l].counts();
-    if (counts.size() != cardinalities.size()) {
-      throw std::invalid_argument("ProfileSet::from_profiles: schema mismatch");
+  for (std::size_t l = 0; l < k; ++l) {
+    set.size_[l] = sizes[l];
+    for (std::size_t r = 0; r < d; ++r) {
+      set.non_null_[r * set.stride_ + l] = non_null[l * d + r];
     }
-    for (std::size_t r = 0; r < counts.size(); ++r) {
-      if (counts[r].size() != static_cast<std::size_t>(cardinalities[r])) {
-        throw std::invalid_argument(
-            "ProfileSet::from_profiles: schema mismatch");
-      }
-      for (std::size_t v = 0; v < counts[r].size(); ++v) {
-        set.counts_[(set.offsets_[r] + v) * set.stride_ + l] =
-            static_cast<double>(counts[r][v]);
-      }
-      set.non_null_[r * set.stride_ + l] =
-          static_cast<double>(profiles[l].non_null_count(r));
+    for (std::size_t c = 0; c < cells; ++c) {
+      set.counts_[c * set.stride_ + l] = counts[l * cells + c];
     }
-    set.size_[l] = static_cast<double>(profiles[l].size());
   }
   return set;
+}
+
+ProfileSet ProfileSet::select(const std::vector<int>& clusters) const {
+  for (const int l : clusters) {
+    if (l < 0 || l >= k_) {
+      throw std::out_of_range("ProfileSet::select: cluster id out of range");
+    }
+  }
+  ProfileSet out(cardinalities_, static_cast<int>(clusters.size()));
+  const auto gather = [&](const AlignedVec<double>& from,
+                          AlignedVec<double>& to, std::size_t slots) {
+    for (std::size_t s = 0; s < slots; ++s) {
+      const double* src = from.data() + s * stride_;
+      double* dst = to.data() + s * out.stride_;
+      for (std::size_t j = 0; j < clusters.size(); ++j) {
+        dst[j] = src[static_cast<std::size_t>(clusters[j])];
+      }
+    }
+  };
+  gather(counts_, out.counts_, total_cells_);
+  gather(non_null_, out.non_null_, cardinalities_.size());
+  gather(size_, out.size_, 1);
+  return out;
 }
 
 double ProfileSet::value_similarity(int l, std::size_t r, data::Value v) const {
@@ -328,13 +342,7 @@ void ProfileSet::score_all(const data::Value* row, double* out) const {
   const std::size_t d = cardinalities_.size();
   const simd::Kernels& kr = simd::kernels();
   std::fill(out, out + k, 0.0);
-  if (frozen_ && !probs_f32_.empty()) {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = row[r];
-      if (!in_domain(r, v)) continue;
-      kr.acc_f32(out, probs_f32_.data() + cell(r, v) * stride_, k);
-    }
-  } else if (frozen_) {
+  if (frozen_) {
     for (std::size_t r = 0; r < d; ++r) {
       const data::Value v = row[r];
       if (!in_domain(r, v)) continue;
@@ -357,14 +365,7 @@ void ProfileSet::weighted_score_all(const data::Value* row,
   const std::size_t d = cardinalities_.size();
   const simd::Kernels& kr = simd::kernels();
   std::fill(out, out + k, 0.0);
-  if (frozen_ && !probs_f32_.empty()) {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = row[r];
-      if (!in_domain(r, v)) continue;
-      kr.acc_w_f32(out, weights + r * k,
-                   probs_f32_.data() + cell(r, v) * stride_, k);
-    }
-  } else if (frozen_) {
+  if (frozen_) {
     for (std::size_t r = 0; r < d; ++r) {
       const data::Value v = row[r];
       if (!in_domain(r, v)) continue;
@@ -407,13 +408,7 @@ void ProfileSet::score_all(const data::DatasetView& ds, std::size_t i,
   const std::size_t d = cardinalities_.size();
   const simd::Kernels& kr = simd::kernels();
   std::fill(out, out + k, 0.0);
-  if (frozen_ && !probs_f32_.empty()) {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = ds.at(i, r);
-      if (!in_domain(r, v)) continue;
-      kr.acc_f32(out, probs_f32_.data() + cell(r, v) * stride_, k);
-    }
-  } else if (frozen_) {
+  if (frozen_) {
     for (std::size_t r = 0; r < d; ++r) {
       const data::Value v = ds.at(i, r);
       if (!in_domain(r, v)) continue;
@@ -436,14 +431,7 @@ void ProfileSet::weighted_score_all(const data::DatasetView& ds, std::size_t i,
   const std::size_t d = cardinalities_.size();
   const simd::Kernels& kr = simd::kernels();
   std::fill(out, out + k, 0.0);
-  if (frozen_ && !probs_f32_.empty()) {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = ds.at(i, r);
-      if (!in_domain(r, v)) continue;
-      kr.acc_w_f32(out, weights + r * k,
-                   probs_f32_.data() + cell(r, v) * stride_, k);
-    }
-  } else if (frozen_) {
+  if (frozen_) {
     for (std::size_t r = 0; r < d; ++r) {
       const data::Value v = ds.at(i, r);
       if (!in_domain(r, v)) continue;
@@ -508,20 +496,11 @@ void ProfileSet::best_clusters_tile(const std::size_t* cells, std::size_t m,
   // feature loop, with one fused divide-and-store at the end. Per lane
   // the op sequence (zero, += per feature in r order, one division) is
   // exactly the per-row acc/div path, so labels stay byte-identical.
-  if (!probs_f32_.empty()) {
-    const float* bank = probs_f32_.data();
-    for (std::size_t t = 0; t < m; ++t) {
-      kr.score_row_f32(scores, bank, cells + t * d, d,
-                       static_cast<double>(d), k);
-      out[t] = kr.argmax(scores, k);
-    }
-  } else {
-    const double* bank = probs_.data();
-    for (std::size_t t = 0; t < m; ++t) {
-      kr.score_row_f64(scores, bank, cells + t * d, d,
-                       static_cast<double>(d), k);
-      out[t] = kr.argmax(scores, k);
-    }
+  const double* bank = probs_.data();
+  for (std::size_t t = 0; t < m; ++t) {
+    kr.score_row_f64(scores, bank, cells + t * d, d, static_cast<double>(d),
+                     k);
+    out[t] = kr.argmax(scores, k);
   }
 }
 
@@ -586,30 +565,6 @@ void ProfileSet::freeze() const {
   assert_bank_aligned(probs_);
 }
 
-void ProfileSet::freeze_compact() const {
-  freeze();
-  if (!probs_f32_.empty()) return;
-  probs_f32_.resize(probs_.size());
-  for (std::size_t i = 0; i < probs_.size(); ++i) {
-    probs_f32_[i] = static_cast<float>(probs_[i]);
-  }
-  // Drop the f64 cache — halving the working set is the whole point. It
-  // is rebuilt deterministically from the counts by thaw_compact().
-  probs_.clear();
-  probs_.shrink_to_fit();
-  assert_bank_aligned(probs_f32_);
-}
-
-void ProfileSet::thaw_compact() const {
-  if (probs_f32_.empty()) return;
-  probs_f32_.clear();
-  probs_f32_.shrink_to_fit();
-  if (frozen_) {
-    frozen_ = false;
-    freeze();
-  }
-}
-
 std::vector<data::Value> ProfileSet::mode(int l) const {
   std::vector<data::Value> modes(cardinalities_.size(), data::kMissing);
   for (std::size_t r = 0; r < cardinalities_.size(); ++r) {
@@ -623,19 +578,6 @@ std::vector<data::Value> ProfileSet::mode(int l) const {
     }
   }
   return modes;
-}
-
-ClusterProfile ProfileSet::profile(int l) const {
-  std::vector<std::vector<int>> counts(cardinalities_.size());
-  for (std::size_t r = 0; r < cardinalities_.size(); ++r) {
-    counts[r].resize(static_cast<std::size_t>(cardinalities_[r]));
-    for (data::Value v = 0; v < cardinalities_[r]; ++v) {
-      counts[r][static_cast<std::size_t>(v)] =
-          static_cast<int>(count(l, r, v));
-    }
-  }
-  return ClusterProfile::from_counts(std::move(counts),
-                                     static_cast<int>(size(l)));
 }
 
 double ProfileSet::marginal_distribution(std::size_t r,

@@ -1,12 +1,12 @@
-// ProfileSet — flat Structure-of-Arrays histogram bank for k clusters.
-//
-// ClusterProfile (similarity.h) stores one cluster's histograms as nested
-// vector<vector<int>>, so scoring one object against k clusters walks k
-// separately allocated structures — k*d dependent pointer chases. ProfileSet
-// holds *all* k clusters' per-feature value counts in one contiguous buffer,
-// laid out value-major with a slot stride that can exceed k (spare slots are
-// kept zero so append_cluster is amortised O(1) slots instead of a restride
-// per spawn):
+// ProfileSet — flat Structure-of-Arrays histogram bank for k clusters, the
+// one bank behind object-cluster similarity: fitting, the online learners,
+// serialisation (api::Model JSON and the binary artifact) and serving all
+// read and write it. (metrics::PartitionProfile keeps an int-typed bank for
+// the internal validity indices only, where int counts measure faster.) It
+// holds every cluster's per-feature value counts in one contiguous buffer,
+// laid out value-major with a slot stride that can exceed k (spare slots
+// are kept zero so append_cluster is amortised O(1) slots instead of a
+// restride per spawn):
 //
 //   counts_[(offset[r] + v) * stride + l]  =  Psi_{Fr = v}(C_l),  l < k
 //
@@ -18,11 +18,13 @@
 //
 // Numerics contract: counts are doubles so the decayed (fractional)
 // streaming histograms share the kernel; batch consumers only ever store
-// integral values, for which every quotient count/non_null is bit-identical
-// to ClusterProfile's int arithmetic. score_all accumulates per-feature
-// contributions in ascending feature order — the same order as
-// ClusterProfile::similarity — so batched scores (and therefore argmax
-// labels) are byte-identical to the per-cluster path, not merely close.
+// integral values, for which every quotient count/non_null is exactly the
+// ratio of member counts that the definition-level reference in
+// similarity.h computes. score_all accumulates per-feature contributions in
+// ascending feature order — the order of Eq. (1)'s sum — so batched scores
+// (and therefore argmax labels) are byte-identical to the per-cluster
+// score_one path, not merely close. Non-null totals are kept, not derived:
+// under scale() they stop being exact row sums of the scaled counts.
 //
 // freeze() additionally precomputes every count/non_null quotient once, so
 // frozen batched sweeps (Model::predict, refine_to_fixpoint, streaming
@@ -40,7 +42,6 @@
 #include <vector>
 
 #include "core/aligned.h"
-#include "core/similarity.h"
 #include "data/dataset.h"
 #include "data/view.h"
 
@@ -53,7 +54,7 @@ class ProfileSet {
   ProfileSet(const std::vector<int>& cardinalities, int k);
 
   // One histogram bank from an assignment vector (-1 entries skipped,
-  // ids must lie in [0, k)). The flat analogue of build_profiles().
+  // ids must lie in [0, k)).
   // Accumulates feature-major: one stride-1 sweep over each dataset
   // column writes only that feature's cell block of the bank — the
   // columnar fast path (identity views read Dataset::col pointers
@@ -61,9 +62,21 @@ class ProfileSet {
   // bit-identical to row-wise add() accumulation.
   static ProfileSet from_assignment(const data::DatasetView& ds,
                                     const std::vector<int>& assignment, int k);
-  // Converts per-cluster profiles (e.g. a deserialised api::Model) into the
-  // flat layout. All profiles must share one schema.
-  static ProfileSet from_profiles(const std::vector<ClusterProfile>& profiles);
+  // A bank of sizes.size() clusters from cluster-major arrays — the form
+  // api::Model serialises: sizes[l], non_null[l * d + r] and
+  // counts[l * C + offset(r) + v] with C the sum of cardinalities. Values
+  // are copied verbatim, so decayed fractional histograms survive exactly.
+  // Throws std::invalid_argument when an array length disagrees with the
+  // schema.
+  static ProfileSet from_arrays(const std::vector<int>& cardinalities,
+                                const std::vector<double>& sizes,
+                                const std::vector<double>& non_null,
+                                const std::vector<double>& counts);
+  // A new bank holding clusters[j] of this one as its cluster j. Counts,
+  // non-null totals and sizes are copied, not recomputed — the online
+  // learners' lossless snapshot export. Throws std::out_of_range on an id
+  // outside [0, num_clusters()).
+  ProfileSet select(const std::vector<int>& clusters) const;
 
   int num_clusters() const { return k_; }
   std::size_t num_features() const { return cardinalities_.size(); }
@@ -171,26 +184,9 @@ class ProfileSet {
   void freeze() const;
   bool frozen() const { return frozen_; }
 
-  // Opt-in compact frozen bank: narrows the frozen quotients to float32
-  // and drops the float64 cache, halving the sweep's working set. Scores
-  // still accumulate in double (each f32 widened exactly), but the
-  // narrowing itself rounds, so scores — and potentially labels — may
-  // differ from the f64 bank. Consumers must prove label-identity on
-  // their own data before adopting it (api::Model::try_compact_scorer);
-  // thaw_compact() deterministically rebuilds the f64 cache from the
-  // counts. Same single-writer contract as freeze(); any mutation thaws
-  // both banks.
-  void freeze_compact() const;
-  void thaw_compact() const;
-  bool compact_frozen() const { return frozen_ && !probs_f32_.empty(); }
-
   // Most frequent value of cluster l per feature (ties -> smallest code;
-  // data::kMissing for an all-NULL column), as ClusterProfile::mode().
+  // data::kMissing for an all-NULL column) — the cluster's k-modes mode.
   std::vector<data::Value> mode(int l) const;
-
-  // Materialises cluster l as a ClusterProfile (counts truncated to int) —
-  // for consumers that serialise or keep the nested representation.
-  ClusterProfile profile(int l) const;
 
   // Pooled per-feature value distribution across every cluster:
   // out[v] = sum_l count(l, r, v) / sum_l non_null(l, r) for v in
@@ -212,7 +208,6 @@ class ProfileSet {
   void thaw() {
     frozen_ = false;
     probs_.clear();
-    probs_f32_.clear();
   }
   // One cache-blocked tile of the batched argmax: cells[t * d + r] is the
   // bank offset of row t's (r, v) cell block (kNoCell when missing/out of
@@ -233,13 +228,10 @@ class ProfileSet {
   AlignedVec<double> counts_;         // [cell * stride + l]
   AlignedVec<double> non_null_;       // [r * stride + l]
   AlignedVec<double> size_;           // [l], length stride_
-  // Lazily built frozen-quotient caches (counts_ layout): probs_ is the
-  // bit-exact float64 bank; probs_f32_ is the opt-in compact bank, present
-  // only between freeze_compact() and thaw_compact(), during which probs_
-  // is dropped. Mutable for the logically-const lazy freeze — see
-  // freeze() for the single-writer contract.
+  // Lazily built frozen-quotient cache (counts_ layout). Mutable for the
+  // logically-const lazy freeze — see freeze() for the single-writer
+  // contract.
   mutable AlignedVec<double> probs_;
-  mutable AlignedVec<float> probs_f32_;
   mutable bool frozen_ = false;
 };
 

@@ -1,6 +1,7 @@
 #include "core/rgcl.h"
 
 #include <algorithm>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/thread_pool.h"
@@ -205,17 +206,12 @@ std::vector<int> RgclLearner::classify(const data::DatasetView& ds) const {
 
 api::Model RgclLearner::to_model(
     std::vector<std::vector<std::string>> values) const {
-  std::vector<std::size_t> order(ids_.size());
-  for (std::size_t l = 0; l < order.size(); ++l) order[l] = l;
+  std::vector<int> order(ids_.size());
+  std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return ids_[a] < ids_[b]; });
-  std::vector<ClusterProfile> profiles;
-  profiles.reserve(order.size());
-  for (const std::size_t slot : order) {
-    profiles.push_back(set_.profile(static_cast<int>(slot)));
-  }
-  return api::Model::from_profiles("mcdc-online", cardinalities_,
-                                   std::move(profiles), std::move(values));
+            [&](int a, int b) { return ids_[a] < ids_[b]; });
+  return api::Model::from_profiles("mcdc-online", set_.select(order),
+                                   std::move(values));
 }
 
 void RgclLearner::reset() {

@@ -23,17 +23,6 @@ void acc_w_f64_scalar(double* out, const double* w, const double* p,
   for (std::size_t l = 0; l < k; ++l) out[l] += w[l] * p[l];
 }
 
-void acc_f32_scalar(double* out, const float* p, std::size_t k) {
-  for (std::size_t l = 0; l < k; ++l) out[l] += static_cast<double>(p[l]);
-}
-
-void acc_w_f32_scalar(double* out, const double* w, const float* p,
-                      std::size_t k) {
-  for (std::size_t l = 0; l < k; ++l) {
-    out[l] += w[l] * static_cast<double>(p[l]);
-  }
-}
-
 void div_f64_scalar(double* out, double denom, std::size_t k) {
   for (std::size_t l = 0; l < k; ++l) out[l] /= denom;
 }
@@ -67,24 +56,23 @@ int argmax_scalar(const double* s, std::size_t k) {
 // Whole-row frozen score. Per lane: one accumulator, contributions in r
 // order, one division — the exact op sequence of the per-row
 // acc_f64/div_f64 path, so scores and labels are byte-identical to it.
-template <class T>
-void score_row_scalar(double* out, const T* bank, const std::size_t* cells,
-                      std::size_t d, double denom, std::size_t k) {
+void score_row_f64_scalar(double* out, const double* bank,
+                          const std::size_t* cells, std::size_t d,
+                          double denom, std::size_t k) {
   for (std::size_t l = 0; l < k; ++l) {
     double s = 0.0;
     for (std::size_t r = 0; r < d; ++r) {
       if (cells[r] == kNoCell) continue;
-      s += static_cast<double>(bank[cells[r] + l]);
+      s += bank[cells[r] + l];
     }
     out[l] = s / denom;
   }
 }
 
 constexpr Kernels kScalarTable = {
-    acc_f64_scalar,    acc_w_f64_scalar,      acc_f32_scalar,
-    acc_w_f32_scalar,  div_f64_scalar,        quot_f64_scalar,
-    quot_w_f64_scalar, argmax_scalar,         score_row_scalar<double>,
-    score_row_scalar<float>,
+    acc_f64_scalar,  acc_w_f64_scalar,  div_f64_scalar,
+    quot_f64_scalar, quot_w_f64_scalar, argmax_scalar,
+    score_row_f64_scalar,
 };
 
 // Level requested by MCDC_SIMD (auto when unset/unrecognised).

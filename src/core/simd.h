@@ -55,11 +55,6 @@ struct Kernels {
   // out[l] += w[l] * p[l]   (multiply then add; never fused)
   void (*acc_w_f64)(double* out, const double* w, const double* p,
                     std::size_t k);
-  // out[l] += static_cast<double>(p[l])   (compact frozen bank)
-  void (*acc_f32)(double* out, const float* p, std::size_t k);
-  // out[l] += w[l] * static_cast<double>(p[l])
-  void (*acc_w_f32)(double* out, const double* w, const float* p,
-                    std::size_t k);
   // out[l] /= denom   (kept a true division — no reciprocal multiply)
   void (*div_f64)(double* out, double denom, std::size_t k);
   // out[l] += nn[l] > 0.0 ? c[l] / nn[l] : 0.0   (live, unfrozen path)
@@ -82,14 +77,9 @@ struct Kernels {
   void (*score_row_f64)(double* out, const double* bank,
                         const std::size_t* cells, std::size_t d, double denom,
                         std::size_t k);
-  // The compact float32 bank variant: each load widens to double exactly,
-  // then accumulates in double like score_row_f64.
-  void (*score_row_f32)(double* out, const float* bank,
-                        const std::size_t* cells, std::size_t d, double denom,
-                        std::size_t k);
 };
 
-// Sentinel for score_row_* cells entries: skip this feature (missing
+// Sentinel for score_row_f64 cells entries: skip this feature (missing
 // value or out-of-domain category).
 inline constexpr std::size_t kNoCell = static_cast<std::size_t>(-1);
 

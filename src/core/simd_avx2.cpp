@@ -42,29 +42,6 @@ void acc_w_f64_avx2(double* out, const double* w, const double* p,
   for (; l < k; ++l) out[l] += w[l] * p[l];
 }
 
-void acc_f32_avx2(double* out, const float* p, std::size_t k) {
-  std::size_t l = 0;
-  for (; l + 4 <= k; l += 4) {
-    const __m256d acc = _mm256_loadu_pd(out + l);
-    const __m256d val =
-        _mm256_cvtps_pd(_mm_loadu_ps(p + l));  // exact f32 -> f64 widen
-    _mm256_storeu_pd(out + l, _mm256_add_pd(acc, val));
-  }
-  for (; l < k; ++l) out[l] += static_cast<double>(p[l]);
-}
-
-void acc_w_f32_avx2(double* out, const double* w, const float* p,
-                    std::size_t k) {
-  std::size_t l = 0;
-  for (; l + 4 <= k; l += 4) {
-    const __m256d acc = _mm256_loadu_pd(out + l);
-    const __m256d val = _mm256_cvtps_pd(_mm_loadu_ps(p + l));
-    const __m256d prod = _mm256_mul_pd(_mm256_loadu_pd(w + l), val);
-    _mm256_storeu_pd(out + l, _mm256_add_pd(acc, prod));
-  }
-  for (; l < k; ++l) out[l] += w[l] * static_cast<double>(p[l]);
-}
-
 void div_f64_avx2(double* out, double denom, std::size_t k) {
   const __m256d vden = _mm256_set1_pd(denom);
   std::size_t l = 0;
@@ -158,21 +135,15 @@ int argmax_avx2(const double* s, std::size_t k) {
   return best;
 }
 
-// Four doubles from a f64 bank, or four floats widened exactly to double.
-inline __m256d load4(const double* p) { return _mm256_loadu_pd(p); }
-inline __m256d load4(const float* p) {
-  return _mm256_cvtps_pd(_mm_loadu_ps(p));
-}
-
 // Whole-row frozen score, register-blocked: eight ymm accumulators (a
 // 32-cluster block) stay live across the entire feature loop, so the only
 // memory traffic is bank loads plus one final divide-and-store — no
 // intermediate score spills and no per-feature call overhead. Per lane
 // the op sequence is still accumulator = 0, += contribution per feature
 // in r order, one division: byte-identical to the per-row acc/div path.
-template <class T>
-void score_row_avx2(double* out, const T* bank, const std::size_t* cells,
-                    std::size_t d, double denom, std::size_t k) {
+void score_row_f64_avx2(double* out, const double* bank,
+                        const std::size_t* cells, std::size_t d, double denom,
+                        std::size_t k) {
   const __m256d vden = _mm256_set1_pd(denom);
   std::size_t l = 0;
   for (; l + 32 <= k; l += 32) {
@@ -186,15 +157,15 @@ void score_row_avx2(double* out, const T* bank, const std::size_t* cells,
     __m256d a7 = _mm256_setzero_pd();
     for (std::size_t r = 0; r < d; ++r) {
       if (cells[r] == kNoCell) continue;
-      const T* p = bank + cells[r] + l;
-      a0 = _mm256_add_pd(a0, load4(p + 0));
-      a1 = _mm256_add_pd(a1, load4(p + 4));
-      a2 = _mm256_add_pd(a2, load4(p + 8));
-      a3 = _mm256_add_pd(a3, load4(p + 12));
-      a4 = _mm256_add_pd(a4, load4(p + 16));
-      a5 = _mm256_add_pd(a5, load4(p + 20));
-      a6 = _mm256_add_pd(a6, load4(p + 24));
-      a7 = _mm256_add_pd(a7, load4(p + 28));
+      const double* p = bank + cells[r] + l;
+      a0 = _mm256_add_pd(a0, _mm256_loadu_pd(p + 0));
+      a1 = _mm256_add_pd(a1, _mm256_loadu_pd(p + 4));
+      a2 = _mm256_add_pd(a2, _mm256_loadu_pd(p + 8));
+      a3 = _mm256_add_pd(a3, _mm256_loadu_pd(p + 12));
+      a4 = _mm256_add_pd(a4, _mm256_loadu_pd(p + 16));
+      a5 = _mm256_add_pd(a5, _mm256_loadu_pd(p + 20));
+      a6 = _mm256_add_pd(a6, _mm256_loadu_pd(p + 24));
+      a7 = _mm256_add_pd(a7, _mm256_loadu_pd(p + 28));
     }
     _mm256_storeu_pd(out + l + 0, _mm256_div_pd(a0, vden));
     _mm256_storeu_pd(out + l + 4, _mm256_div_pd(a1, vden));
@@ -211,7 +182,7 @@ void score_row_avx2(double* out, const T* bank, const std::size_t* cells,
     __m256d a = _mm256_setzero_pd();
     for (std::size_t r = 0; r < d; ++r) {
       if (cells[r] == kNoCell) continue;
-      a = _mm256_add_pd(a, load4(bank + cells[r] + l));
+      a = _mm256_add_pd(a, _mm256_loadu_pd(bank + cells[r] + l));
     }
     _mm256_storeu_pd(out + l, _mm256_div_pd(a, vden));
   }
@@ -219,17 +190,16 @@ void score_row_avx2(double* out, const T* bank, const std::size_t* cells,
     double s = 0.0;
     for (std::size_t r = 0; r < d; ++r) {
       if (cells[r] == kNoCell) continue;
-      s += static_cast<double>(bank[cells[r] + l]);
+      s += bank[cells[r] + l];
     }
     out[l] = s / denom;
   }
 }
 
 constexpr Kernels kAvx2Table = {
-    acc_f64_avx2,    acc_w_f64_avx2,        acc_f32_avx2,
-    acc_w_f32_avx2,  div_f64_avx2,          quot_f64_avx2,
-    quot_w_f64_avx2, argmax_avx2,           score_row_avx2<double>,
-    score_row_avx2<float>,
+    acc_f64_avx2,  acc_w_f64_avx2,  div_f64_avx2,
+    quot_f64_avx2, quot_w_f64_avx2, argmax_avx2,
+    score_row_f64_avx2,
 };
 
 bool cpu_has_avx2() { return __builtin_cpu_supports("avx2") != 0; }

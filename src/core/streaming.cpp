@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 #include <stdexcept>
 
 #include "common/thread_pool.h"
@@ -168,17 +169,12 @@ api::Model StreamingMgcpl::to_model(
   // Dense model ids in ascending stable-id order: slot order is eviction
   // churn, spawn order is history — only the id order is reproducible
   // across two learners that converged to the same live set.
-  std::vector<std::size_t> order(ids_.size());
-  for (std::size_t l = 0; l < order.size(); ++l) order[l] = l;
+  std::vector<int> order(ids_.size());
+  std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(),
-            [&](std::size_t a, std::size_t b) { return ids_[a] < ids_[b]; });
-  std::vector<ClusterProfile> profiles;
-  profiles.reserve(order.size());
-  for (const std::size_t slot : order) {
-    profiles.push_back(set_.profile(static_cast<int>(slot)));
-  }
-  return api::Model::from_profiles("streaming-mgcpl", cardinalities_,
-                                   std::move(profiles), std::move(values));
+            [&](int a, int b) { return ids_[a] < ids_[b]; });
+  return api::Model::from_profiles("streaming-mgcpl", set_.select(order),
+                                   std::move(values));
 }
 
 double StreamingMgcpl::total_mass() const {

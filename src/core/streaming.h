@@ -82,14 +82,13 @@ class StreamingMgcpl {
   // as an api::Model that any serve::ModelServer can publish. Model
   // cluster j is the j-th smallest live stable id, so two exports over the
   // same live set agree on dense labels regardless of slot churn, and the
-  // export's predict matches classify() up to that id -> dense remap.
-  // Decayed fractional histograms are truncated to integer counts (the
-  // serialisable ClusterProfile representation); with the default decay of
-  // 1.0 nothing is lost. An empty learner exports a valid k = 0 model
-  // (predict -> -1, classify()'s empty contract) that still round-trips
-  // through JSON and the binary artifact. `values` optionally carries the
-  // per-feature dictionaries of the stream's source dataset so the
-  // snapshot can re-encode foreign rows.
+  // export's predict matches classify() up to that id -> dense remap. The
+  // bank is copied verbatim (ProfileSet::select), so decayed fractional
+  // histograms export losslessly. An empty learner exports a valid k = 0
+  // model (predict -> -1, classify()'s empty contract) that still
+  // round-trips through JSON and the binary artifact. `values` optionally
+  // carries the per-feature dictionaries of the stream's source dataset so
+  // the snapshot can re-encode foreign rows.
   api::Model to_model(std::vector<std::vector<std::string>> values = {}) const;
 
   // Runs the end-of-chunk consolidation (decay, starved-cluster prune,

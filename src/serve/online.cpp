@@ -212,14 +212,6 @@ void OnlineUpdater::materialize_window() {
 }
 
 void OnlineUpdater::publish(api::Model model) {
-  if (config_.compact_scorer && window_rows_ > 0 && model.fitted()) {
-    // Validate the compact float32 bank against the window oldest-first
-    // (adopt only if every window row keeps its label; the f64 bank stays
-    // otherwise) — the same replay order the refit uses, keeping the whole
-    // loop a function of the observed row stream.
-    materialize_window();
-    model.try_compact_scorer(scratch_rows_.data(), window_rows_);
-  }
   const auto next = std::make_shared<const api::Model>(std::move(model));
   server_->swap(next);
   published_snapshot_ = next;

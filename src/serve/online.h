@@ -125,13 +125,6 @@ struct OnlineConfig {
   std::size_t trigger_k = 1;
   // Thresholds for the hist/ph/quantile detectors (serve/drift.h).
   DriftConfig drift;
-  // Try to adopt the compact float32 scoring bank on every published
-  // snapshot, validated against the current drift window (adopted only
-  // when every window row keeps its label — Model::try_compact_scorer).
-  // Off by default; when on, predict_score (and hence the drift signal)
-  // may differ from the f64 bank in low-order bits, though still
-  // deterministically for a given row stream.
-  bool compact_scorer = false;
   core::StreamingConfig streaming;  // knobs for the "streaming" learner
   core::RgclConfig rgcl;            // knobs for the "mcdc-online" learner
   ServeConfig serve;                // Engine::serve_online's server config
@@ -177,7 +170,7 @@ class OnlineUpdater {
   double window_mean_score(const api::Model& model,
                            std::vector<double>* scores = nullptr) const;
   // Copies the window into scratch_rows_ oldest-first — the order the
-  // refit replay and the compact-scorer validation need.
+  // refit replay needs.
   void materialize_window();
   // Publishes the exported model; rebases every detector under it.
   void publish(api::Model model);

@@ -6,12 +6,14 @@
 // regression-pins the PR 2 JSON fixes (surrogate pairs, RFC 8259 number
 // grammar, as_int range checks), the PR 4 CSV quote handling, the parser
 // depth cap (deep nesting used to walk the recursive parser off the
-// stack), and the replay-feed cuts the continuous-learning loop must
-// survive (a capture truncated at a chunk boundary, mid-record or
-// mid-quote, or corrupted with stray NUL bytes).
+// stack), the replay-feed cuts the continuous-learning loop must survive
+// (a capture truncated at a chunk boundary, mid-record or mid-quote, or
+// corrupted with stray NUL bytes), and both model formats: version-1 and
+// version-2 binary artifacts, and negative histogram values in JSON.
 #include <gtest/gtest.h>
 
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 
@@ -210,13 +212,37 @@ TEST(AdversarialReplay, RecoveredTraceDrivesTheOnlineLoop) {
 // --- Model hot-reload boundary -----------------------------------------
 
 TEST(AdversarialModelJson, StructurallyInvalidModelsAreRejected) {
+  // A negative count would score rows outside [0, 1] (the binary loader
+  // rejects it too).
   for (const char* name :
        {"json_model_missing_cluster.json", "json_model_counts_mismatch.json",
-        "json_model_size_not_int.json"}) {
+        "json_model_size_not_int.json", "json_model_negative_count.json"}) {
     SCOPED_TRACE(name);
     const api::Json doc = api::Json::parse(slurp(name));  // valid JSON...
     EXPECT_THROW(api::Model::from_json(doc), std::runtime_error);  // ...bad model
   }
+}
+
+TEST(AdversarialModelJson, DocumentWithoutNonNullTotalsDerivesRowSums) {
+  // Models written before the non-null totals were serialised still load;
+  // their integral counts sum exactly to the totals.
+  const api::Model model = api::Model::from_json(api::Json::parse(
+      R"({"method":"m","k":1,"cardinalities":[3],)"
+      R"("clusters":[{"size":4,"counts":[[1,2,0]]}]})"));
+  EXPECT_EQ(model.profile_bank().non_null(0, 0), 3.0);
+  EXPECT_EQ(model.profile_bank().size(0), 4.0);
+}
+
+TEST(AdversarialJson, SubnormalNumbersReadBackExactlyOverflowDoesNot) {
+  // A long-decayed histogram count can be subnormal; dump() prints it and
+  // parse() must return the same double. Overflow stays an error.
+  api::Json values = api::Json::array();
+  values.push_back(std::numeric_limits<double>::denorm_min());
+  values.push_back(0.5 * std::numeric_limits<double>::min());
+  const api::Json back = api::Json::parse(values.dump());
+  EXPECT_EQ(back.at(0).as_double(), std::numeric_limits<double>::denorm_min());
+  EXPECT_EQ(back.at(1).as_double(), 0.5 * std::numeric_limits<double>::min());
+  EXPECT_THROW(api::Json::parse("[1e400]"), std::runtime_error);
 }
 
 // --- Binary model artifacts --------------------------------------------
@@ -236,8 +262,37 @@ TEST(AdversarialArtifact, PristineTinyArtifactLoads) {
   EXPECT_EQ(model.num_features(), 1u);
   EXPECT_EQ(model.method(), "tiny");
   EXPECT_EQ(model.kappa(), (std::vector<int>{1, 2}));
+  // Version 1 carries no non-null section: totals are the row sums.
+  EXPECT_EQ(model.profile_bank().non_null(0, 0), 2.0);
   const data::Value row[] = {2};
   EXPECT_EQ(model.predict_row(row), 1);
+}
+
+TEST(AdversarialArtifact, PristineTinyV2ArtifactLoads) {
+  // Pins the version-2 layout: f64 sizes, stored non-null totals and f64
+  // counts, read verbatim. Cluster 0's total (2.0) is not the row sum of
+  // its counts (1.75), as after exponential decay, so a loader that
+  // re-derived the totals would score differently.
+  const std::string bytes = slurp("bin_tiny_v2_ok.bin");
+  ASSERT_GT(bytes.size(), 8u);
+  EXPECT_EQ(bytes[8], 2);  // format version
+  const api::Model model =
+      api::Model::load_binary(corpus_path("bin_tiny_v2_ok.bin"));
+  EXPECT_EQ(model.k(), 2);
+  EXPECT_EQ(model.num_features(), 1u);
+  EXPECT_EQ(model.method(), "tiny");
+  const core::ProfileSet& bank = model.profile_bank();
+  EXPECT_EQ(bank.size(0), 2.0);
+  EXPECT_EQ(bank.non_null(0, 0), 2.0);
+  EXPECT_EQ(bank.count(0, 0, 0), 1.5);
+  EXPECT_EQ(bank.count(0, 0, 1), 0.25);
+  EXPECT_EQ(bank.size(1), 0.5);
+  EXPECT_EQ(bank.count(1, 0, 2), 0.5);
+  const data::Value first[] = {0};
+  const data::Value last[] = {2};
+  EXPECT_EQ(model.predict_row(first), 0);
+  EXPECT_EQ(model.predict_score(first), 0.75);
+  EXPECT_EQ(model.predict_row(last), 1);
 }
 
 TEST(AdversarialArtifact, CorruptArtifactsAreRejectedWithTypedErrors) {

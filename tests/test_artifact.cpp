@@ -3,16 +3,23 @@
 // registered method), field-exact buffer round trips including the
 // MCDC-family evidence, the label-stripping flag, and — the part the
 // serving tier leans on — fail-closed rejection of corrupt artifacts:
-// truncation at every length, trailing garbage, and single-bit flips in
-// the magic, version, checksum, and payload regions all throw a typed
-// ArtifactError before any Model state exists.
+// truncation at every length, trailing garbage, single-bit flips in the
+// magic, version, checksum, and payload regions, and NaN, infinite or
+// negative histogram values all throw a typed ArtifactError before any
+// Model state exists — and a failed save leaves the previous artifact
+// intact.
 #include "api/artifact.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,6 +27,7 @@
 #include "api/engine.h"
 #include "api/model.h"
 #include "api/registry.h"
+#include "core/profile_set.h"
 #include "data/dataset.h"
 #include "data/noise.h"
 #include "data/synthetic.h"
@@ -172,6 +180,123 @@ TEST(Artifact, BitFlipsInGuardedRegionsAreRejected) {
   }
   // And the pristine buffer still loads, so the sweep tested real flips.
   EXPECT_EQ(reference.k(), model.k());
+}
+
+// Version 2 stores the bank as f64, so the loader must check values a
+// checksum cannot: NaN, infinities and negatives in the sizes, non-null
+// totals and counts. Each forged artifact carries a recomputed CRC, so the
+// value check — not the checksum — is what rejects it.
+TEST(Artifact, NonFiniteOrNegativeHistogramValuesAreRejected) {
+  // 1 feature of 3 values, k = 2. Payload: method (u32 len + "tiny"), one
+  // i32 cardinality, then f64 sizes[2], totals[2] and counts[6].
+  const api::Model model = api::Model::from_profiles(
+      "tiny", core::ProfileSet::from_arrays({3}, {2.0, 0.5}, {2.0, 0.5},
+                                            {1.5, 0.25, 0.0, 0.0, 0.0, 0.5}));
+  const std::vector<std::uint8_t> bytes = model.to_binary();
+  const std::size_t sizes_at = api::kArtifactHeaderBytes + 8 + 4;
+  const std::size_t totals_at = sizes_at + 2 * 8;
+  const std::size_t counts_at = totals_at + 2 * 8;
+  const auto forge = [&](std::size_t at, double value) {
+    std::vector<std::uint8_t> out = bytes;
+    const auto bits = std::bit_cast<std::uint64_t>(value);
+    for (int b = 0; b < 8; ++b) {
+      out[at + static_cast<std::size_t>(b)] =
+          static_cast<std::uint8_t>(bits >> (8 * b));
+    }
+    const std::uint32_t crc =
+        api::artifact_crc32(out.data() + api::kArtifactHeaderBytes,
+                            out.size() - api::kArtifactHeaderBytes);
+    for (int b = 0; b < 4; ++b) {
+      out[24 + static_cast<std::size_t>(b)] =
+          static_cast<std::uint8_t>(crc >> (8 * b));
+    }
+    return out;
+  };
+
+  // Control: a valid value forged the same way loads and is read verbatim.
+  const std::vector<std::uint8_t> valid = forge(counts_at + 8, 0.125);
+  EXPECT_EQ(api::Model::from_binary(valid.data(), valid.size())
+                .profile_bank()
+                .count(0, 0, 1),
+            0.125);
+
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const std::size_t at : {sizes_at, sizes_at + 8, totals_at,
+                               totals_at + 8, counts_at, counts_at + 5 * 8}) {
+    for (const double bad :
+         {std::numeric_limits<double>::quiet_NaN(), inf, -inf, -1.0}) {
+      SCOPED_TRACE(testing::Message() << "offset " << at << " value " << bad);
+      const std::vector<std::uint8_t> forged = forge(at, bad);
+      EXPECT_THROW(api::Model::from_binary(forged.data(), forged.size()),
+                   api::ArtifactError);
+    }
+  }
+}
+
+// The header's k, d and n sit outside the checksummed payload. Huge values
+// must fail as truncation when the payload runs out, not as an allocation
+// sized from the header (std::length_error / bad_alloc escaping the typed
+// error).
+TEST(Artifact, HostileHeaderCountsFailClosed) {
+  const std::vector<std::uint8_t> bytes =
+      fit_model("kmodes", fixture_dataset()).to_binary();
+  const auto forge = [&](std::size_t at, std::uint64_t value, int width) {
+    std::vector<std::uint8_t> out = bytes;
+    for (int b = 0; b < width; ++b) {
+      out.at(at + static_cast<std::size_t>(b)) =
+          static_cast<std::uint8_t>(value >> (8 * b));
+    }
+    return out;
+  };
+  for (const std::vector<std::uint8_t>& forged :
+       {forge(28, 0xFFFFFFFFu, 4), forge(32, std::uint64_t{1} << 62, 8),
+        forge(40, std::uint64_t{1} << 62, 8)}) {
+    EXPECT_THROW(api::Model::from_binary(forged.data(), forged.size()),
+                 api::ArtifactError);
+  }
+}
+
+// save_binary writes a sibling temp file and renames it over the target:
+// a write that fails leaves the previous artifact byte-identical and no
+// temp file of its own behind.
+TEST(Artifact, FailedSaveKeepsThePreviousArtifact) {
+  namespace fs = std::filesystem;
+  const fs::path dir = "test_artifact_crash_safe";
+  fs::remove_all(dir);
+  fs::create_directory(dir);
+  const std::string path = (dir / "model.bin").string();
+  const auto entries = [&] {
+    std::vector<std::string> names;
+    for (const auto& entry : fs::directory_iterator(dir)) {
+      names.push_back(entry.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+  const auto read_file = [&] {
+    std::ifstream in(path, std::ios::binary);
+    return std::vector<char>((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+  };
+
+  const api::Model model = fit_model("kmodes", fixture_dataset());
+  model.save_binary(path);
+  model.save_binary(path);  // overwrite in place: still one file
+  EXPECT_EQ(entries(), std::vector<std::string>{"model.bin"});
+  const std::vector<char> before = read_file();
+
+  // A directory squatting on the temp name makes the write fail.
+  fs::create_directory(path + ".tmp");
+  EXPECT_THROW(model.save_binary(path, /*include_training_labels=*/false),
+               api::ArtifactError);
+  EXPECT_EQ(read_file(), before);
+  EXPECT_TRUE(fs::is_directory(path + ".tmp"));
+  EXPECT_TRUE(fs::is_empty(path + ".tmp"));
+  EXPECT_EQ(entries(),
+            (std::vector<std::string>{"model.bin", "model.bin.tmp"}));
+  EXPECT_EQ(api::Model::load_binary(path).to_json().dump(),
+            model.to_json().dump());
+  fs::remove_all(dir);
 }
 
 TEST(Artifact, Crc32MatchesKnownVector) {

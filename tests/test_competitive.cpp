@@ -28,7 +28,9 @@ TEST(CompetitiveStage, SeedsBecomeSingletonClusters) {
   EXPECT_EQ(stage.assignment()[1], 1);
   EXPECT_EQ(stage.assignment()[2], 2);
   EXPECT_EQ(stage.assignment()[3], -1);
-  for (const auto& p : stage.profiles()) EXPECT_EQ(p.size(), 1);
+  for (int l = 0; l < stage.num_clusters(); ++l) {
+    EXPECT_EQ(stage.profile_set().size(l), 1.0);
+  }
 }
 
 TEST(CompetitiveStage, Validation) {
@@ -65,7 +67,7 @@ TEST(CompetitiveStage, LabelsStayDenseAfterPruning) {
   std::vector<int> counts(static_cast<std::size_t>(k), 0);
   for (int a : stage.assignment()) ++counts[static_cast<std::size_t>(a)];
   for (int l = 0; l < k; ++l) {
-    EXPECT_EQ(stage.profiles()[static_cast<std::size_t>(l)].size(), counts[static_cast<std::size_t>(l)]);
+    EXPECT_EQ(stage.profile_set().size(l), counts[static_cast<std::size_t>(l)]);
   }
 }
 

@@ -1,7 +1,8 @@
 // Tests for the continuous-learning serving loop (serve/online.h) and its
 // feeders: StreamingMgcpl::to_model snapshot export (stable-id ordering,
-// JSON + binary round trips, the empty-learner k = 0 contract), the k = 0
-// swap path through ModelServer (must not wedge in-flight batches), the
+// JSON + binary round trips, the empty-learner k = 0 contract, lossless
+// export of both learners' decayed histograms), the k = 0 swap path
+// through ModelServer (must not wedge in-flight batches), the
 // OnlineUpdater drift detector (quiet streams never refit; an injected
 // code-shift refits within a few ticks and the recovered snapshot
 // re-partitions the drifted window like a from-scratch refit), the
@@ -11,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
@@ -159,6 +162,99 @@ TEST(StreamingToModel, EmptyLearnerExportsValidKZeroModel) {
   const api::Model via_binary = api::Model::from_binary(blob.data(), blob.size());
   EXPECT_EQ(via_binary.k(), 0);
   EXPECT_EQ(via_binary.predict_row(rows.data()), -1);
+}
+
+// --- lossless export under decay ------------------------------------------
+//
+// With decay < 1 the learners' histograms hold fractional counts, and their
+// non-null totals stop being exact row sums of those counts. A snapshot
+// must carry the bank verbatim: to_model() predicts exactly what the
+// learner's own classify() says (through the stable-id -> dense remap), and
+// the snapshot survives the binary and JSON round trips with every size,
+// non-null total and count bit-equal.
+
+void expect_bit_equal_banks(const core::ProfileSet& a,
+                            const core::ProfileSet& b) {
+  ASSERT_EQ(a.num_clusters(), b.num_clusters());
+  ASSERT_EQ(a.cardinalities(), b.cardinalities());
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (int l = 0; l < a.num_clusters(); ++l) {
+    EXPECT_EQ(bits(a.size(l)), bits(b.size(l))) << "cluster " << l;
+    for (std::size_t r = 0; r < a.num_features(); ++r) {
+      EXPECT_EQ(bits(a.non_null(l, r)), bits(b.non_null(l, r)))
+          << "cluster " << l << " feature " << r;
+      for (data::Value v = 0; v < a.cardinalities()[r]; ++v) {
+        EXPECT_EQ(bits(a.count(l, r, v)), bits(b.count(l, r, v)))
+            << "cluster " << l << " feature " << r << " value " << v;
+      }
+    }
+  }
+}
+
+// Feeds `ds` in chunks of 50 rows (each chunk ends with the decayed
+// consolidation), then checks the export. Returns the rows whose snapshot
+// label disagreed with classify().
+template <class Learner>
+std::size_t check_decayed_export(Learner& learner, const data::Dataset& ds) {
+  const std::vector<data::Value> rows = gather_rows(ds);
+  const std::size_t n = ds.num_objects();
+  const std::size_t d = ds.num_features();
+  for (std::size_t i = 0; i < n; ++i) {
+    learner.observe(rows.data() + i * d);
+    if ((i + 1) % 50 == 0) learner.end_chunk();
+  }
+  EXPECT_GT(learner.num_clusters(), 0u);
+  const api::Model model = learner.to_model();
+
+  std::vector<int> ids = learner.cluster_ids();
+  std::sort(ids.begin(), ids.end());
+  std::map<int, int> dense;
+  for (std::size_t j = 0; j < ids.size(); ++j) {
+    dense[ids[j]] = static_cast<int>(j);
+  }
+  const std::vector<int> classified = learner.classify(ds);
+  std::vector<int> predicted(n);
+  model.predict_rows(rows.data(), n, predicted.data());
+  std::size_t disagreements = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (predicted[i] != dense.at(classified[i])) ++disagreements;
+  }
+
+  const std::vector<std::uint8_t> blob = model.to_binary();
+  expect_bit_equal_banks(
+      api::Model::from_binary(blob.data(), blob.size()).profile_bank(),
+      model.profile_bank());
+  expect_bit_equal_banks(
+      api::Model::from_json(api::Json::parse(model.to_json().dump()))
+          .profile_bank(),
+      model.profile_bank());
+  return disagreements;
+}
+
+TEST(LosslessExport, DecayedSnapshotsPredictLikeClassifyForBothLearners) {
+  for (const double decay : {0.9, 0.7, 0.5}) {
+    for (std::uint64_t seed = 1; seed <= 10; ++seed) {
+      SCOPED_TRACE(testing::Message() << "decay " << decay << " seed " << seed);
+      data::WellSeparatedConfig config;
+      config.num_objects = 600;
+      config.num_features = 8;
+      config.num_clusters = 3;
+      config.cardinality = 5;
+      config.purity = 0.8;
+      config.seed = seed;
+      const data::Dataset ds = data::well_separated(config);
+
+      core::StreamingConfig streaming;
+      streaming.decay = decay;
+      core::StreamingMgcpl mgcpl(ds.cardinalities(), streaming);
+      EXPECT_EQ(check_decayed_export(mgcpl, ds), 0u) << "streaming";
+
+      core::RgclConfig rgcl_config;
+      rgcl_config.decay = decay;
+      core::RgclLearner rgcl(ds.cardinalities(), seed, rgcl_config);
+      EXPECT_EQ(check_decayed_export(rgcl, ds), 0u) << "mcdc-online";
+    }
+  }
 }
 
 // --- k = 0 swap through ModelServer ---------------------------------------

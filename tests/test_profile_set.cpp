@@ -1,12 +1,12 @@
-// Tests for the flat ProfileSet scoring kernel (profile_set.h): equivalence
-// with the per-cluster ClusterProfile path on randomised datasets with
-// NULLs, incremental maintenance, cluster append/remove restriding,
-// out-of-domain clamping, and fixed-seed label goldens across every
-// registered method (the byte-identity contract of the kernel rewire);
-// plus the register-blocked batch argmax vs the per-row scan, the compact
-// float32 bank round trip and its Model-level adoption gate, and the
-// freeze() single-writer contract under concurrent frozen readers (the
-// tsan CI job runs this binary).
+// Tests for the flat ProfileSet scoring kernel (profile_set.h): bit-exact
+// equivalence with the definition-level Eq. (1)/(14) reference
+// (similarity.h) on randomised datasets with NULLs, incremental
+// maintenance, cluster append/remove restriding, verbatim cluster
+// selection and array round trips, out-of-domain clamping, and fixed-seed
+// label goldens across every registered method (the byte-identity contract
+// of the kernel); plus the register-blocked batch argmax vs the per-row
+// scan and the freeze() single-writer contract under concurrent frozen
+// readers (the tsan CI job runs this binary).
 #include "core/profile_set.h"
 
 #include <gtest/gtest.h>
@@ -57,22 +57,30 @@ RandomCase random_case(std::uint64_t seed, std::size_t n = 160,
   return out;
 }
 
-TEST(ProfileSet, ScoreAllMatchesPerClusterSimilarity) {
+TEST(ProfileSet, ScoreAllMatchesReferenceSimilarity) {
   for (std::uint64_t seed = 1; seed <= 5; ++seed) {
     const RandomCase c = random_case(seed);
-    const auto profiles = core::build_profiles(c.ds, c.labels, c.k);
     core::ProfileSet set =
         core::ProfileSet::from_assignment(c.ds, c.labels, c.k);
 
+    std::vector<double> reference(c.ds.num_objects() *
+                                  static_cast<std::size_t>(c.k));
+    for (std::size_t i = 0; i < c.ds.num_objects(); ++i) {
+      const std::vector<data::Value> row = c.ds.row_copy(i);
+      for (int l = 0; l < c.k; ++l) {
+        reference[i * static_cast<std::size_t>(c.k) +
+                  static_cast<std::size_t>(l)] =
+            core::reference::similarity(c.ds, c.labels, l, row.data());
+      }
+    }
     std::vector<double> batched(static_cast<std::size_t>(c.k));
     for (std::size_t i = 0; i < c.ds.num_objects(); ++i) {
       set.score_all(c.ds, i, batched.data());
       for (int l = 0; l < c.k; ++l) {
-        const double reference =
-            profiles[static_cast<std::size_t>(l)].similarity(c.ds, i);
-        EXPECT_DOUBLE_EQ(batched[static_cast<std::size_t>(l)], reference);
-        EXPECT_NEAR(batched[static_cast<std::size_t>(l)], reference, 1e-12);
-        EXPECT_DOUBLE_EQ(set.score_one(l, c.ds, i), reference);
+        const double expected = reference[i * static_cast<std::size_t>(c.k) +
+                                          static_cast<std::size_t>(l)];
+        EXPECT_EQ(batched[static_cast<std::size_t>(l)], expected);
+        EXPECT_EQ(set.score_one(l, c.ds, i), expected);
       }
     }
     // Frozen quotients come from the same divisions: still identical.
@@ -80,17 +88,16 @@ TEST(ProfileSet, ScoreAllMatchesPerClusterSimilarity) {
     for (std::size_t i = 0; i < c.ds.num_objects(); ++i) {
       set.score_all(c.ds, i, batched.data());
       for (int l = 0; l < c.k; ++l) {
-        EXPECT_DOUBLE_EQ(
-            batched[static_cast<std::size_t>(l)],
-            profiles[static_cast<std::size_t>(l)].similarity(c.ds, i));
+        EXPECT_EQ(batched[static_cast<std::size_t>(l)],
+                  reference[i * static_cast<std::size_t>(c.k) +
+                            static_cast<std::size_t>(l)]);
       }
     }
   }
 }
 
-TEST(ProfileSet, WeightedScoreAllMatchesWeightedSimilarity) {
+TEST(ProfileSet, WeightedScoreAllMatchesReferenceWeightedSimilarity) {
   const RandomCase c = random_case(11);
-  const auto profiles = core::build_profiles(c.ds, c.labels, c.k);
   core::ProfileSet set = core::ProfileSet::from_assignment(c.ds, c.labels, c.k);
 
   // Random per-cluster weight vectors, transposed into the feature-major
@@ -110,16 +117,14 @@ TEST(ProfileSet, WeightedScoreAllMatchesWeightedSimilarity) {
 
   std::vector<double> batched(static_cast<std::size_t>(c.k));
   for (std::size_t i = 0; i < c.ds.num_objects(); ++i) {
+    const std::vector<data::Value> row = c.ds.row_copy(i);
     set.weighted_score_all(c.ds, i, bank.data(), batched.data());
     for (int l = 0; l < c.k; ++l) {
-      const double reference =
-          profiles[static_cast<std::size_t>(l)].weighted_similarity(
-              c.ds, i, omega[static_cast<std::size_t>(l)]);
-      EXPECT_DOUBLE_EQ(batched[static_cast<std::size_t>(l)], reference);
-      EXPECT_DOUBLE_EQ(
-          set.weighted_score_one(l, c.ds, i,
-                                 omega[static_cast<std::size_t>(l)]),
-          reference);
+      const auto& w = omega[static_cast<std::size_t>(l)];
+      const double reference = core::reference::weighted_similarity(
+          c.ds, c.labels, l, row.data(), w);
+      EXPECT_EQ(batched[static_cast<std::size_t>(l)], reference);
+      EXPECT_EQ(set.weighted_score_one(l, c.ds, i, w), reference);
     }
   }
 }
@@ -208,35 +213,50 @@ TEST(ProfileSet, OutOfDomainCodesClampToMissing) {
   EXPECT_DOUBLE_EQ(set.non_null(0, 0), nn_before);
 }
 
-TEST(ClusterProfile, OutOfDomainCodesClampToMissing) {
-  core::ClusterProfile profile(std::vector<int>{3, 2});
-  data::Dataset ds(1, 2, {1, 0}, {3, 2});
-  profile.add(ds, 0);
-  EXPECT_EQ(profile.value_count(0, 1), 1);
-  // Out-of-domain reads are missing, not out-of-bounds.
-  EXPECT_EQ(profile.value_count(0, 17), 0);
-  EXPECT_EQ(profile.value_count(0, data::kMissing), 0);
-  EXPECT_DOUBLE_EQ(profile.value_similarity(0, 17), 0.0);
-  EXPECT_DOUBLE_EQ(profile.value_similarity(1, -5), 0.0);
-  // A raw similarity(row) caller with an unseen category gets the
-  // missing-cell semantics instead of undefined behaviour: feature 0 is
-  // treated as missing (0), feature 1 matches fully (1), mean = 0.5.
-  const std::vector<data::Value> unseen{17, 0};
-  EXPECT_DOUBLE_EQ(profile.similarity(unseen.data()), 0.5);
-}
-
-TEST(ProfileSet, ModeMatchesClusterProfileMode) {
+// The snapshot-export primitive: select() copies clusters in the given
+// order with sizes, non-null totals and counts bit-equal — including the
+// fractional values scale() leaves, whose totals are no longer the row sums
+// of their counts — and from_arrays() rebuilds the same bank from the
+// cluster-major arrays api::Model serialises.
+TEST(ProfileSet, SelectAndFromArraysCopyDecayedBanksVerbatim) {
   const RandomCase c = random_case(51);
-  const auto profiles = core::build_profiles(c.ds, c.labels, c.k);
-  const core::ProfileSet set =
-      core::ProfileSet::from_assignment(c.ds, c.labels, c.k);
-  for (int l = 0; l < c.k; ++l) {
-    EXPECT_EQ(set.mode(l), profiles[static_cast<std::size_t>(l)].mode());
-    // Materialised profiles round-trip the histograms.
-    const core::ClusterProfile materialised = set.profile(l);
-    EXPECT_EQ(materialised.counts(), profiles[static_cast<std::size_t>(l)].counts());
-    EXPECT_EQ(materialised.size(), profiles[static_cast<std::size_t>(l)].size());
+  core::ProfileSet set = core::ProfileSet::from_assignment(c.ds, c.labels, c.k);
+  for (int step = 0; step < 7; ++step) {
+    set.scale(0.9);
+    set.add(step % c.k, c.ds, static_cast<std::size_t>(step));
   }
+  const std::vector<int> order = {3, 0, 4};
+  const core::ProfileSet picked = set.select(order);
+  ASSERT_EQ(picked.num_clusters(), 3);
+  EXPECT_EQ(picked.cardinalities(), set.cardinalities());
+  std::vector<double> sizes, non_null, counts;
+  for (int j = 0; j < picked.num_clusters(); ++j) {
+    const int l = order[static_cast<std::size_t>(j)];
+    EXPECT_EQ(picked.size(j), set.size(l));
+    sizes.push_back(picked.size(j));
+    for (std::size_t r = 0; r < c.ds.num_features(); ++r) {
+      EXPECT_EQ(picked.non_null(j, r), set.non_null(l, r));
+      non_null.push_back(picked.non_null(j, r));
+      for (data::Value v = 0; v < c.ds.cardinality(r); ++v) {
+        EXPECT_EQ(picked.count(j, r, v), set.count(l, r, v));
+        counts.push_back(picked.count(j, r, v));
+      }
+    }
+  }
+  const core::ProfileSet rebuilt = core::ProfileSet::from_arrays(
+      set.cardinalities(), sizes, non_null, counts);
+  std::vector<double> a(3), b(3);
+  for (std::size_t i = 0; i < c.ds.num_objects(); ++i) {
+    picked.score_all(c.ds, i, a.data());
+    rebuilt.score_all(c.ds, i, b.data());
+    EXPECT_EQ(a, b) << "row " << i;
+  }
+  EXPECT_EQ(set.select({}).num_clusters(), 0);
+  EXPECT_THROW(set.select({c.k}), std::out_of_range);
+  EXPECT_THROW(set.select({-1}), std::out_of_range);
+  EXPECT_THROW(core::ProfileSet::from_arrays(set.cardinalities(), sizes,
+                                             non_null, {}),
+               std::invalid_argument);
 }
 
 TEST(ProfileSet, ScaleAppliesExponentialForgetting) {
@@ -311,52 +331,6 @@ TEST(ProfileSet, BlockedBestClustersMatchPerRowArgmax) {
   }
 }
 
-// Compact-bank semantics: freeze_compact narrows the quotients to f32
-// (batch and per-row paths agree with each other on that bank),
-// thaw_compact rebuilds the bit-exact f64 cache from the counts, and any
-// mutation thaws both banks.
-TEST(ProfileSet, CompactFreezeRoundTripAndThaw) {
-  const RandomCase c = random_case(81, 120, 6, 40);
-  core::ProfileSet set =
-      core::ProfileSet::from_assignment(c.ds, c.labels, c.k);
-  const std::size_t n = c.ds.num_objects();
-
-  set.freeze();
-  ASSERT_TRUE(set.frozen());
-  EXPECT_FALSE(set.compact_frozen());
-  std::vector<int> f64_labels(n);
-  set.best_clusters(c.ds, 0, n, f64_labels.data());
-
-  set.freeze_compact();
-  EXPECT_TRUE(set.frozen());
-  EXPECT_TRUE(set.compact_frozen());
-  std::vector<int> f32_labels(n);
-  set.best_clusters(c.ds, 0, n, f32_labels.data());
-  // The compact bank is not bit-contracted against f64, but the batch and
-  // per-row paths must agree with each other on it.
-  std::vector<double> scratch;
-  for (std::size_t i = 0; i < n; ++i) {
-    EXPECT_EQ(f32_labels[i], set.best_cluster(c.ds, i, scratch)) << i;
-  }
-  // Idempotent: a second freeze_compact is a no-op.
-  set.freeze_compact();
-  EXPECT_TRUE(set.compact_frozen());
-
-  // thaw_compact rebuilds the f64 cache deterministically: same labels.
-  set.thaw_compact();
-  EXPECT_TRUE(set.frozen());
-  EXPECT_FALSE(set.compact_frozen());
-  std::vector<int> rebuilt(n);
-  set.best_clusters(c.ds, 0, n, rebuilt.data());
-  EXPECT_EQ(rebuilt, f64_labels);
-
-  // Any mutation thaws both banks.
-  set.freeze_compact();
-  set.add(0, c.ds, 0);
-  EXPECT_FALSE(set.frozen());
-  EXPECT_FALSE(set.compact_frozen());
-}
-
 // Pins the freeze() thread-safety contract stated in profile_set.h: the
 // first freeze() completes on one thread with a happens-before edge to
 // every reader (here: thread creation), after which any number of
@@ -389,48 +363,6 @@ TEST(ProfileSet, ConcurrentFrozenReads) {
   }
   for (std::thread& r : readers) r.join();
   for (const std::vector<int>& labels : got) EXPECT_EQ(labels, reference);
-}
-
-// The Model-level adoption gate: try_compact_scorer adopts the float32
-// bank only on proven label-identity over the supplied rows, proves
-// nothing from empty input, and FitOptions::compact_scorer wires the same
-// gate through Engine::fit without moving the fit's labels.
-TEST(Model, TryCompactScorerGate) {
-  data::WellSeparatedConfig config;
-  config.num_objects = 300;
-  config.purity = 0.8;
-  config.seed = 3;
-  const data::Dataset ds =
-      data::with_missing_cells(data::well_separated(config), 0.05, 11);
-  api::Engine engine;
-  api::FitOptions options;
-  options.method = "mcdc1";
-  options.k = 3;
-  options.seed = 9;
-  options.evaluate = false;
-  api::FitResult fit = engine.fit(ds, options);
-  ASSERT_TRUE(fit.ok());
-  EXPECT_FALSE(fit.model.compact_scorer());
-  const std::vector<int> f64_labels = fit.model.predict(ds);
-
-  // Empty input proves nothing: the f64 bank stays.
-  EXPECT_FALSE(fit.model.try_compact_scorer(nullptr, 0));
-  EXPECT_FALSE(fit.model.compact_scorer());
-
-  const bool adopted = fit.model.try_compact_scorer(ds);
-  EXPECT_EQ(fit.model.compact_scorer(), adopted);
-  if (adopted) {
-    // The gate's promise: every validated row keeps its label.
-    EXPECT_EQ(fit.model.predict(ds), f64_labels);
-  }
-
-  // The Engine wiring reaches the same decision and the same labels.
-  options.compact_scorer = true;
-  const api::FitResult compact_fit = engine.fit(ds, options);
-  ASSERT_TRUE(compact_fit.ok());
-  EXPECT_EQ(compact_fit.model.compact_scorer(), adopted);
-  EXPECT_EQ(compact_fit.report.labels, fit.report.labels);
-  EXPECT_EQ(compact_fit.model.predict(ds), f64_labels);
 }
 
 TEST(Model, PredictMatchesPredictRow) {
