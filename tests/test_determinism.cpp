@@ -18,6 +18,10 @@
 //     dispatch level × thread width (the core/simd.h byte-identity
 //     contract).
 //
+// Scores are pinned too: the IEEE-754 bit patterns of every internal and
+// external index and every estimate_k candidate silhouette, at each SIMD
+// dispatch level (the silhouette sweep runs through the kernel table).
+//
 // The width-1 results are additionally pinned as FNV-1a goldens (the same
 // hash and guard as the 18-method table in test_profile_set.cpp): a moved
 // hash means single-thread behaviour itself drifted, which is a different
@@ -26,8 +30,10 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <future>
+#include <initializer_list>
 #include <memory>
 #include <vector>
 
@@ -35,10 +41,14 @@
 #include "common/thread_pool.h"
 #include "core/simd.h"
 #include "core/active.h"
+#include "core/kestimate.h"
 #include "core/mgcpl.h"
 #include "core/streaming.h"
 #include "data/noise.h"
+#include "data/registry.h"
 #include "data/synthetic.h"
+#include "metrics/indices.h"
+#include "metrics/internal.h"
 #include "serve/online.h"
 #include "serve/server.h"
 
@@ -68,6 +78,21 @@ std::uint64_t fnv1a(std::uint64_t h, const std::vector<int>& v) {
 }
 
 constexpr std::uint64_t kFnvSeed = 0xcbf29ce484222325ULL;
+
+// FNV-1a over the IEEE-754 bit patterns of `values`: a score golden that
+// any change in the last bit of any value moves.
+std::uint64_t fnv1a_bits(std::uint64_t h,
+                         std::initializer_list<double> values) {
+  for (const double x : values) {
+    std::uint64_t u = 0;
+    std::memcpy(&u, &x, sizeof u);
+    for (int b = 0; b < 8; ++b) {
+      h ^= (u >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
 
 // Runs `consumer` at each width, asserts byte-identity against width 1 and
 // returns the width-1 labels (for the golden pins).
@@ -336,6 +361,71 @@ TEST(ThreadDeterminism, OnlineLoopIsWidthInvariant) {
   // the decision sequence itself is unchanged from the previous pin.
   EXPECT_EQ(fnv1a(kFnvSeed, outcome), 0x010924e709361159ULL)
       << "single-thread online loop drifted";
+#endif
+}
+
+// Score goldens: every index the library reports, hashed bit for bit.
+// One MGCPL analysis per table feeds estimate_k (each candidate's
+// silhouette) and supplies the partitions scored: every recorded stage
+// plus the given reference partitions, each with all five internal
+// indices and the four external ones against `truth`. The scoring runs
+// under both kernel tables and must hash to the same golden.
+std::uint64_t score_hash(const data::Dataset& ds, const std::vector<int>& truth,
+                         const std::vector<std::vector<int>>& references) {
+  const core::MgcplResult mgcpl = core::Mgcpl().run(ds, 17);
+  std::vector<std::vector<int>> partitions = mgcpl.partitions;
+  partitions.insert(partitions.end(), references.begin(), references.end());
+  const core::simd::Level entry = core::simd::level();
+  std::uint64_t hashes[2] = {kFnvSeed, kFnvSeed};
+  for (const core::simd::Level level :
+       {core::simd::Level::kScalar, core::simd::Level::kAvx2}) {
+    std::uint64_t& h = hashes[static_cast<std::size_t>(level)];
+    core::simd::set_level(level);
+    for (const core::KCandidate& c : core::estimate_k(ds, mgcpl).candidates) {
+      h = fnv1a_bits(h, {c.silhouette});
+    }
+    for (const std::vector<int>& labels : partitions) {
+      const metrics::InternalScores in = metrics::internal_scores(ds, labels);
+      h = fnv1a_bits(h, {in.compactness, in.separation, in.silhouette,
+                         in.category_utility, in.davies_bouldin});
+      const metrics::Scores ex = metrics::score_all(labels, truth);
+      h = fnv1a_bits(h, {ex.acc, ex.ari, ex.ami, ex.fm});
+    }
+  }
+  core::simd::set_level(entry);
+  EXPECT_EQ(hashes[1], hashes[0])
+      << "scores diverged between the scalar and "
+      << core::simd::level_name(core::simd::level()) << " kernel tables";
+  return hashes[0];
+}
+
+TEST(ScoreDeterminism, NestedTableScoresArePinned) {
+  // The benchmark's table family at tier-1 size: 16 features of
+  // cardinality 32, 8 coarse clusters of 4 fine ones each.
+  data::NestedConfig config;
+  config.num_objects = 5000;
+  config.num_features = 16;
+  config.coarse_features = 8;
+  config.num_coarse = 8;
+  config.fine_per_coarse = 4;
+  config.cardinality = 32;
+  config.purity = 0.9;
+  config.seed = 901;
+  const data::NestedDataset table = data::nested(config);
+  const std::uint64_t h =
+      score_hash(table.dataset, table.fine_labels,
+                 {table.fine_labels, table.dataset.labels()});
+#if defined(__linux__) && defined(__GLIBC__)
+  EXPECT_EQ(h, 0x3119b9f205b5f765ULL) << "nested-table scores drifted";
+#endif
+}
+
+TEST(ScoreDeterminism, CongressionalScoresWithMissingCellsArePinned) {
+  const data::Dataset ds = data::load("Con.");
+  ASSERT_TRUE(ds.has_missing());
+  const std::uint64_t h = score_hash(ds, ds.labels(), {ds.labels()});
+#if defined(__linux__) && defined(__GLIBC__)
+  EXPECT_EQ(h, 0xc07164dab3f50f7fULL) << "Con. scores drifted";
 #endif
 }
 
