@@ -122,8 +122,10 @@ FitResult Engine::fit(const data::DatasetView& ds,
       kappa = mgcpl.kappa;
       theta = came.theta;
       if (options.stage_reports) {
+        Timer stage_timer;
         if (!estimate) estimate = core::estimate_k(ds, mgcpl);
         report.stages = stage_validity(*estimate);
+        report.timings.stage_report_seconds = stage_timer.elapsed_seconds();
       }
     } else if (options.method == "mcdc-dist") {
       // Distributed path: run the protocol directly so the report keeps
@@ -176,8 +178,10 @@ FitResult Engine::fit(const data::DatasetView& ds,
         "preset " + std::to_string(report.k)));
   }
 
+  Timer polish_timer;
   out.model = Model::from_fit(options.method, ds, result.labels, report.k,
                               report.kappa, report.theta);
+  report.timings.polish_seconds = polish_timer.elapsed_seconds();
   // The report serves the model's self-consistent partition (identical to
   // the method's raw labels except for the few objects a Model::from_fit
   // polish sweep moves), so Model::predict on the training rows reproduces

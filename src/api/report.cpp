@@ -149,6 +149,8 @@ Json RunReport::to_json() const {
 
   Json timings_json = Json::object();
   timings_json["fit_seconds"] = timings.fit_seconds;
+  timings_json["stage_report_seconds"] = timings.stage_report_seconds;
+  timings_json["polish_seconds"] = timings.polish_seconds;
   timings_json["evaluate_seconds"] = timings.evaluate_seconds;
   timings_json["total_seconds"] = timings.total_seconds;
   out["timings"] = std::move(timings_json);

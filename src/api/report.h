@@ -56,9 +56,13 @@ struct StageValidity {
   double persistence = 0.0; // staircase-plateau prominence, in [0, 1]
 };
 
+// Wall-clock seconds of each layer of Engine::fit, in run order. The four
+// layers are disjoint intervals of total_seconds.
 struct Timings {
-  double fit_seconds = 0.0;       // clustering (MGCPL + aggregation)
-  double evaluate_seconds = 0.0;  // validity-index computation
+  double fit_seconds = 0.0;           // clustering (MGCPL + aggregation)
+  double stage_report_seconds = 0.0;  // per-stage validity (0 when off)
+  double polish_seconds = 0.0;        // Model::from_fit bank + polish
+  double evaluate_seconds = 0.0;      // validity-index computation
   double total_seconds = 0.0;
 };
 

@@ -56,9 +56,13 @@ class PartitionProfile {
   data::Value mode(int l, std::size_t r) const;
 
   // Mean per-feature mismatch probability between object row and cluster l:
-  // (1/d) sum_r (1 - P(x_ir | C_l)); the histogram form of the mean Hamming
-  // distance from the object to the cluster's members. `exclude_self` makes
-  // the estimate leave-one-out (required by the silhouette's a(i) term).
+  //   (1/|R|) sum_{r in R} (1 - count(l, r, x_ir) / non_null(l, r)),
+  // over the features R compared: x_ir is present and the cluster has an
+  // observed value there (non_null > 0); 0 when R is empty. The histogram
+  // form of the mean Hamming distance from the object to the cluster's
+  // members. `exclude_self` makes the estimate leave-one-out (required by
+  // the silhouette's a(i) term): both counts drop by one, and a feature
+  // the object alone observes in the cluster is not compared.
   double mean_distance(const data::DatasetView& ds, std::size_t i, int l,
                        bool exclude_self) const;
 
@@ -80,6 +84,13 @@ double mode_separation(const data::DatasetView& ds, const std::vector<int>& labe
 
 // Histogram-based categorical silhouette, averaged over objects. Range
 // [-1, 1]; objects in singleton clusters contribute 0 (sklearn convention).
+// a(i) = mean_distance(i, own, true); b(i) = the minimum of
+// mean_distance(i, l, false) over the other non-empty clusters. The
+// result is bit-identical to evaluating exactly that, at every SIMD
+// dispatch level: each object sweeps its present cells once and the k
+// lanes of core::simd::Kernels::acc_f64 repeat mean_distance's additions
+// in its order, so the sweep costs O(d k) additions per object and only
+// k divisions instead of d k.
 double categorical_silhouette(const data::DatasetView& ds,
                               const std::vector<int>& labels);
 
@@ -103,7 +114,8 @@ struct InternalScores {
   double davies_bouldin = 0.0;
 };
 
-// All internal indices in one pass-friendly call.
+// All five internal indices from one PartitionProfile and one mode table;
+// each field equals the single-index function bit for bit.
 InternalScores internal_scores(const data::DatasetView& ds,
                                const std::vector<int>& labels);
 

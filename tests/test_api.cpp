@@ -241,6 +241,32 @@ TEST(Engine, FitMcdcOnWellSeparatedData) {
   EXPECT_GT(fit.report.timings.total_seconds, 0.0);
 }
 
+// Every layer of a fit is named: fit, stage reports, polish and evaluation
+// are disjoint intervals inside the total, and a layer that does not run
+// takes no time.
+TEST(Engine, TimingsNameEveryFitLayer) {
+  const auto ds = data::well_separated({});
+  Engine engine;
+  FitOptions options;
+  options.k = 3;
+  for (const bool stage_reports : {true, false}) {
+    options.stage_reports = stage_reports;
+    const FitResult fit = engine.fit(ds, options);
+    ASSERT_TRUE(fit.ok()) << fit.status.message;
+    const Timings& t = fit.report.timings;
+    EXPECT_GE(t.fit_seconds, 0.0);
+    EXPECT_GE(t.stage_report_seconds, 0.0);
+    EXPECT_GE(t.polish_seconds, 0.0);
+    EXPECT_GE(t.evaluate_seconds, 0.0);
+    if (!stage_reports) {
+      EXPECT_EQ(t.stage_report_seconds, 0.0);
+    }
+    EXPECT_LE(t.fit_seconds + t.stage_report_seconds + t.polish_seconds +
+                  t.evaluate_seconds,
+              t.total_seconds);
+  }
+}
+
 TEST(Engine, DeterministicGivenSeed) {
   const auto ds = data::well_separated({});
   Engine engine;
@@ -502,7 +528,13 @@ TEST(RunReport, JsonCarriesTheDocumentedShape) {
   ASSERT_TRUE(doc.contains("external"));
   EXPECT_DOUBLE_EQ(doc.at("external").at("acc").as_double(),
                    fit.report.external.acc);
-  EXPECT_TRUE(doc.at("timings").contains("total_seconds"));
+  for (const char* key : {"fit_seconds", "stage_report_seconds",
+                          "polish_seconds", "evaluate_seconds",
+                          "total_seconds"}) {
+    EXPECT_TRUE(doc.at("timings").contains(key)) << key;
+  }
+  EXPECT_EQ(doc.at("timings").at("polish_seconds").as_double(),
+            fit.report.timings.polish_seconds);
 }
 
 TEST(RunReport, FailureStatusIsStructured) {

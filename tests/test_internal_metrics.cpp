@@ -1,14 +1,20 @@
-// Tests for the internal (label-free) categorical validity indices.
+// Tests for the internal (label-free) categorical validity indices,
+// including a seeded sweep that holds the silhouette, Davies-Bouldin and
+// separation bit for bit to the per-cluster scans they replace.
 #include "metrics/internal.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
+#include "core/simd.h"
 #include "data/dataset.h"
 #include "data/synthetic.h"
+#include "data/view.h"
 
 namespace mcdc::metrics {
 namespace {
@@ -214,6 +220,212 @@ TEST_P(InternalSweep, BoundsAndSanity) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InternalSweep,
                          ::testing::Range<std::uint64_t>(1, 9));
+
+// --- Against the per-cluster scans, bit for bit ------------------------------
+
+// Silhouette from the definition: every object against every cluster
+// through mean_distance.
+double reference_silhouette(const data::DatasetView& ds,
+                            const std::vector<int>& labels) {
+  if (ds.num_objects() == 0) return 0.0;
+  const PartitionProfile profile(ds, labels);
+  const int k = profile.num_clusters();
+  if (k < 2) return 0.0;
+  double sum = 0.0;
+  for (std::size_t i = 0; i < ds.num_objects(); ++i) {
+    const int own = labels[i];
+    if (profile.cluster_size(own) <= 1) continue;
+    const double a = profile.mean_distance(ds, i, own, true);
+    double b = std::numeric_limits<double>::infinity();
+    for (int l = 0; l < k; ++l) {
+      if (l == own || profile.cluster_size(l) == 0) continue;
+      b = std::min(b, profile.mean_distance(ds, i, l, false));
+    }
+    if (!std::isfinite(b)) continue;
+    const double denom = std::max(a, b);
+    if (denom > 0.0) sum += (b - a) / denom;
+  }
+  return sum / static_cast<double>(ds.num_objects());
+}
+
+double reference_mode_distance(const PartitionProfile& profile, std::size_t d,
+                               int l, int t) {
+  int mismatches = 0;
+  int compared = 0;
+  for (std::size_t r = 0; r < d; ++r) {
+    const data::Value a = profile.mode(l, r);
+    const data::Value b = profile.mode(t, r);
+    if (a == data::kMissing || b == data::kMissing) continue;
+    ++compared;
+    if (a != b) ++mismatches;
+  }
+  if (compared == 0) return 0.0;
+  return static_cast<double>(mismatches) / static_cast<double>(compared);
+}
+
+// Scatter of cluster l by a full rescan of the table, recomputing the
+// mode for every member cell.
+double reference_mode_scatter(const data::DatasetView& ds,
+                              const std::vector<int>& labels,
+                              const PartitionProfile& profile, int l) {
+  double sum = 0.0;
+  std::size_t members = 0;
+  for (std::size_t i = 0; i < ds.num_objects(); ++i) {
+    if (labels[i] != l) continue;
+    ++members;
+    int mismatches = 0;
+    int compared = 0;
+    for (std::size_t r = 0; r < ds.num_features(); ++r) {
+      const data::Value v = ds.at(i, r);
+      const data::Value m = profile.mode(l, r);
+      if (v == data::kMissing || m == data::kMissing) continue;
+      ++compared;
+      if (v != m) ++mismatches;
+    }
+    if (compared > 0) {
+      sum += static_cast<double>(mismatches) / static_cast<double>(compared);
+    }
+  }
+  return members == 0 ? 0.0 : sum / static_cast<double>(members);
+}
+
+double reference_davies_bouldin(const data::DatasetView& ds,
+                                const std::vector<int>& labels) {
+  const PartitionProfile profile(ds, labels);
+  const int k = profile.num_clusters();
+  if (k < 2) return 0.0;
+  std::vector<double> scatter(static_cast<std::size_t>(k));
+  for (int l = 0; l < k; ++l) {
+    scatter[static_cast<std::size_t>(l)] =
+        reference_mode_scatter(ds, labels, profile, l);
+  }
+  double sum = 0.0;
+  for (int l = 0; l < k; ++l) {
+    double worst = 0.0;
+    for (int t = 0; t < k; ++t) {
+      if (t == l) continue;
+      const double dist =
+          reference_mode_distance(profile, ds.num_features(), l, t);
+      const double numer = scatter[static_cast<std::size_t>(l)] +
+                           scatter[static_cast<std::size_t>(t)];
+      const double ratio = dist > 0.0
+                               ? numer / dist
+                               : (numer > 0.0
+                                      ? std::numeric_limits<double>::infinity()
+                                      : 0.0);
+      worst = std::max(worst, ratio);
+    }
+    sum += worst;
+  }
+  return sum / static_cast<double>(k);
+}
+
+double reference_separation(const data::DatasetView& ds,
+                            const std::vector<int>& labels) {
+  const PartitionProfile profile(ds, labels);
+  const int k = profile.num_clusters();
+  if (k < 2) return 0.0;
+  double sum = 0.0;
+  int pairs = 0;
+  for (int l = 0; l < k; ++l) {
+    for (int t = l + 1; t < k; ++t) {
+      sum += reference_mode_distance(profile, ds.num_features(), l, t);
+      ++pairs;
+    }
+  }
+  return sum / static_cast<double>(pairs);
+}
+
+TEST(InternalReference, SeededSweepIsBitIdentical) {
+  Rng rng(77);
+  const core::simd::Level entry = core::simd::level();
+  // Edge cases the sweep must reach, counted over the cases.
+  int tiny = 0;        // n = 1 or 2
+  int single = 0;      // k = 1
+  int empty_id = 0;    // an id in [0, k) with no member
+  int singleton = 0;   // a cluster of one
+  int unobserved = 0;  // a cluster with non_null = 0 in some feature
+  int view = 0;        // a shuffled row-index view
+  for (int c = 0; c < 300; ++c) {
+    std::size_t n = 3 + rng.below(c % 5 == 0 ? 200 : 40);
+    if (c % 25 < 2) n = static_cast<std::size_t>(1 + c % 25);  // n = 1, 2
+    const std::size_t d = 1 + rng.below(6);
+    std::vector<int> cards(d);
+    for (int& m : cards) m = 1 + static_cast<int>(rng.below(5));
+    const int k = 1 + static_cast<int>(rng.below(6));
+    std::vector<int> labels(n);
+    for (int& l : labels) {
+      l = static_cast<int>(rng.below(static_cast<std::uint64_t>(k)));
+      if (c % 3 == 0) l *= 2;  // odd ids stay empty
+    }
+    if (c % 5 == 1) labels[n - 1] = 2 * k;  // a singleton past a gap
+    // About 20 % missing cells; every fourth table also hides feature 0
+    // from cluster 0 entirely.
+    std::vector<data::Value> cells(n * d, data::kMissing);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (std::size_t r = 0; r < d; ++r) {
+        const bool hidden = c % 4 == 0 && r == 0 && labels[i] == 0;
+        if (hidden || rng.bernoulli(0.2)) continue;
+        const auto m = static_cast<std::uint64_t>(cards[r]);
+        cells[i * d + r] = static_cast<data::Value>(rng.below(m));
+      }
+    }
+    const data::Dataset table(n, d, std::move(cells), cards);
+    std::vector<std::size_t> rows(n);
+    for (std::size_t i = 0; i < n; ++i) rows[i] = i;
+    if (c % 2 == 1) rng.shuffle(rows);
+    const data::DatasetView ds =
+        c % 2 == 1 ? data::DatasetView(table, rows) : data::DatasetView(table);
+
+    const PartitionProfile profile(ds, labels);
+    tiny += n <= 2 ? 1 : 0;
+    single += profile.num_clusters() == 1 ? 1 : 0;
+    view += ds.is_identity() ? 0 : 1;
+    bool has_empty = false;
+    bool has_singleton = false;
+    bool has_unobserved = false;
+    for (int l = 0; l < profile.num_clusters(); ++l) {
+      const std::size_t size = profile.cluster_size(l);
+      has_empty = has_empty || size == 0;
+      has_singleton = has_singleton || size == 1;
+      for (std::size_t r = 0; r < d; ++r) {
+        has_unobserved =
+            has_unobserved || (size > 0 && profile.non_null(l, r) == 0);
+      }
+    }
+    empty_id += has_empty ? 1 : 0;
+    singleton += has_singleton ? 1 : 0;
+    unobserved += has_unobserved ? 1 : 0;
+
+    const double silhouette = reference_silhouette(ds, labels);
+    const double db = reference_davies_bouldin(ds, labels);
+    const double separation = reference_separation(ds, labels);
+    // The silhouette sweep runs through the kernel table: both tables.
+    for (const core::simd::Level level :
+         {core::simd::Level::kScalar, core::simd::Level::kAvx2}) {
+      core::simd::set_level(level);
+      EXPECT_EQ(categorical_silhouette(ds, labels), silhouette)
+          << "case " << c << " at "
+          << core::simd::level_name(core::simd::level());
+    }
+    core::simd::set_level(entry);
+    EXPECT_EQ(davies_bouldin_modes(ds, labels), db) << "case " << c;
+    EXPECT_EQ(mode_separation(ds, labels), separation) << "case " << c;
+    const InternalScores bundle = internal_scores(ds, labels);
+    EXPECT_EQ(bundle.compactness, compactness(ds, labels)) << "case " << c;
+    EXPECT_EQ(bundle.separation, separation) << "case " << c;
+    EXPECT_EQ(bundle.silhouette, silhouette) << "case " << c;
+    EXPECT_EQ(bundle.category_utility, category_utility(ds, labels))
+        << "case " << c;
+    EXPECT_EQ(bundle.davies_bouldin, db) << "case " << c;
+  }
+  EXPECT_GT(tiny, 10);
+  EXPECT_GT(single, 10);
+  EXPECT_GT(empty_id, 30);
+  EXPECT_GT(singleton, 30);
+  EXPECT_GT(unobserved, 30);
+  EXPECT_GT(view, 100);
+}
 
 }  // namespace
 }  // namespace mcdc::metrics

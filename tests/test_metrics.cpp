@@ -1,11 +1,13 @@
 // Validity-index tests: exact values against hand-computed contingency
-// tables and published reference values, plus property sweeps.
+// tables and published reference values, property sweeps, and a seeded
+// sweep that holds AMI bit for bit to a definition-level reference.
 #include "metrics/indices.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -287,6 +289,118 @@ TEST_P(MetricProperties, LabelPermutationInvariance) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MetricProperties,
                          ::testing::Range<std::uint64_t>(1, 13));
+
+// --- AMI against the definition, bit for bit ------------------------------
+
+// Expected mutual information straight from the hypergeometric model, one
+// lgamma per factorial per term: the loop the library's tabulated version
+// must reproduce exactly.
+double reference_emi(const Contingency& ct) {
+  const auto n = static_cast<double>(ct.total());
+  const auto log_n = std::log(n);
+  auto lf = [](double x) { return std::lgamma(x + 1.0); };
+  double emi = 0.0;
+  for (std::int64_t ai : ct.row_sums()) {
+    if (ai == 0) continue;
+    for (std::int64_t bj : ct.col_sums()) {
+      if (bj == 0) continue;
+      const std::int64_t lo = std::max<std::int64_t>(1, ai + bj - ct.total());
+      const std::int64_t hi = std::min(ai, bj);
+      for (std::int64_t nij = lo; nij <= hi; ++nij) {
+        const auto x = static_cast<double>(nij);
+        const auto a = static_cast<double>(ai);
+        const auto b = static_cast<double>(bj);
+        const double term1 =
+            x / n * (std::log(x) + log_n - std::log(a) - std::log(b));
+        const double log_prob = lf(a) + lf(b) + lf(n - a) + lf(n - b) -
+                                lf(n) - lf(x) - lf(a - x) - lf(b - x) -
+                                lf(n - a - b + x);
+        emi += term1 * std::exp(log_prob);
+      }
+    }
+  }
+  return emi;
+}
+
+double reference_entropy(const std::vector<std::int64_t>& sums, double n) {
+  double h = 0.0;
+  for (std::int64_t s : sums) {
+    if (s <= 0) continue;
+    const double p = static_cast<double>(s) / n;
+    h -= p * std::log(p);
+  }
+  return h;
+}
+
+// AMI with arithmetic-mean normalisation, from the definition.
+double reference_ami(const std::vector<int>& a, const std::vector<int>& b) {
+  const Contingency ct(a, b);
+  const auto n = static_cast<double>(ct.total());
+  const double ha = reference_entropy(ct.row_sums(), n);
+  const double hb = reference_entropy(ct.col_sums(), n);
+  if (ha == 0.0 && hb == 0.0) return 1.0;
+  double mi = 0.0;
+  for (std::size_t i = 0; i < ct.rows(); ++i) {
+    for (std::size_t j = 0; j < ct.cols(); ++j) {
+      const auto nij = static_cast<double>(ct.at(i, j));
+      if (nij == 0.0) continue;
+      const auto ai = static_cast<double>(ct.row_sums()[i]);
+      const auto bj = static_cast<double>(ct.col_sums()[j]);
+      mi += nij / n * std::log(n * nij / (ai * bj));
+    }
+  }
+  mi = std::max(0.0, mi);
+  const double emi = reference_emi(ct);
+  const double denom = 0.5 * (ha + hb) - emi;
+  if (std::abs(denom) < 1e-15) return 0.0;
+  return (mi - emi) / denom;
+}
+
+// Labels over [0, k) with ids left unused at random, skewed so that one id
+// can hold most of the objects (margins with a_i + b_j > n).
+std::vector<int> draw_labels(Rng& rng, std::size_t n, int k, double skew) {
+  std::vector<int> labels(n);
+  for (int& l : labels) {
+    l = rng.bernoulli(skew)
+            ? 0
+            : static_cast<int>(rng.below(static_cast<std::uint64_t>(k)));
+  }
+  return labels;
+}
+
+TEST(AmiReference, SeededSweepIsBitIdentical) {
+  Rng rng(2024);
+  int cases = 0;
+  int shifted_ranges = 0;  // cases with some pair whose n_ij range starts > 1
+  for (int c = 0; c < 400; ++c) {
+    // n = 1 and 2 recur; otherwise small tables up to a few hundred rows.
+    std::size_t n = 3 + rng.below(c % 4 == 0 ? 400 : 60);
+    if (c % 20 < 2) n = static_cast<std::size_t>(1 + c % 20);
+    const int ka = 1 + static_cast<int>(rng.below(8));
+    const int kb = 1 + static_cast<int>(rng.below(8));
+    const double skew = rng.uniform(0.0, 0.9);
+    const std::vector<int> a = draw_labels(rng, n, ka, skew);
+    const std::vector<int> b = draw_labels(rng, n, kb, rng.uniform(0.0, 0.9));
+    const Contingency ct(a, b);
+    bool shifted = false;
+    for (std::int64_t ai : ct.row_sums()) {
+      for (std::int64_t bj : ct.col_sums()) {
+        shifted = shifted || ai + bj - ct.total() > 1;
+      }
+    }
+    shifted_ranges += shifted ? 1 : 0;
+    const double expected = reference_ami(a, b);
+    EXPECT_EQ(adjusted_mutual_information(a, b), expected) << "case " << c;
+    const Scores s = score_all(a, b);
+    EXPECT_EQ(s.ami, expected) << "case " << c;
+    EXPECT_EQ(s.acc, accuracy(a, b)) << "case " << c;
+    EXPECT_EQ(s.ari, adjusted_rand_index(a, b)) << "case " << c;
+    EXPECT_EQ(s.fm, fowlkes_mallows(a, b)) << "case " << c;
+    ++cases;
+  }
+  EXPECT_EQ(cases, 400);
+  EXPECT_GT(shifted_ranges, 40) << "sweep must cover a_i + b_j > n";
+}
 
 }  // namespace
 }  // namespace mcdc::metrics

@@ -274,6 +274,11 @@ int cmd_cluster(const Cli& cli) {
                   report.external.acc, report.external.ari,
                   report.external.ami, report.external.fm);
     }
+    std::printf("timings: fit %.3fs, stage reports %.3fs, polish %.3fs, "
+                "evaluate %.3fs, total %.3fs\n",
+                report.timings.fit_seconds, report.timings.stage_report_seconds,
+                report.timings.polish_seconds, report.timings.evaluate_seconds,
+                report.timings.total_seconds);
   }
 
   const std::string out_path = cli.get("out", "");
