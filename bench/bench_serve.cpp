@@ -152,7 +152,7 @@ int run_soak(const std::shared_ptr<const api::Model>& model,
              const std::vector<data::Value>& rows, std::size_t n,
              std::size_t d, int producers, std::size_t batch, double seconds) {
   serve::ServeConfig config;
-  config.queue.max_batch = batch;
+  config.max_batch = batch;
   auto server = std::make_shared<serve::ModelServer>(model, config);
   serve::OnlineConfig online;
   online.tick_every = 256;
@@ -290,8 +290,7 @@ int main(int argc, char** argv) {
   double unbatched_rps = 0.0;
   {
     serve::ServeConfig config;
-    config.queue.max_batch = 1;
-    config.queue.linger_us = 0.0;
+    config.max_batch = 1;
     serve::ModelServer server(model, config);
     const double seconds =
         drive(server, rows, n, d, producers, repeats, labels);
@@ -309,7 +308,7 @@ int main(int argc, char** argv) {
   double batched_rps = 0.0;
   {
     serve::ServeConfig config;
-    config.queue.max_batch = batch;
+    config.max_batch = batch;
     serve::ModelServer server(model, config);
     labels.assign(n, -2);
     const double seconds =
@@ -328,7 +327,7 @@ int main(int argc, char** argv) {
   double swap_storm_rps = 0.0;
   {
     serve::ServeConfig config;
-    config.queue.max_batch = batch;
+    config.max_batch = batch;
     serve::ModelServer server(model, config);
     const api::Json reload = model->to_json(false);
     std::atomic<bool> done{false};
@@ -361,7 +360,7 @@ int main(int argc, char** argv) {
   api::ServeEvidence open_stats;
   {
     serve::ServeConfig config;
-    config.queue.max_batch = batch;
+    config.max_batch = batch;
     serve::ModelServer server(model, config);
     labels.assign(n, -2);
     open_loop(server, rows, n, d, arrival_rps, labels);
@@ -427,7 +426,7 @@ int main(int argc, char** argv) {
   {
     serve::ClusterConfig config;
     config.num_shards = 1;
-    config.shard.queue.max_batch = batch;
+    config.shard.max_batch = batch;
     serve::ServingCluster single(model, config);
     labels.assign(n, -2);
     const double seconds =
@@ -441,7 +440,7 @@ int main(int argc, char** argv) {
   {
     serve::ClusterConfig config;
     config.num_shards = shards;
-    config.shard.queue.max_batch = batch;
+    config.shard.max_batch = batch;
     serve::ServingCluster cluster(model, config);
     // Shards drain concurrently, so give every shard a producer to feed it.
     const int cluster_producers =
@@ -500,7 +499,7 @@ int main(int argc, char** argv) {
   api::OnlineEvidence online_evidence;
   {
     serve::ServeConfig config;
-    config.queue.max_batch = batch;
+    config.max_batch = batch;
     auto server = std::make_shared<serve::ModelServer>(model, config);
     serve::OnlineConfig online;
     online.tick_every = 256;

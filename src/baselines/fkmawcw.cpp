@@ -16,6 +16,8 @@ using data::Dataset;
 using data::Value;
 
 constexpr double kEps = 1e-10;
+// Objective-change stopping threshold.
+constexpr double kObjectiveTolerance = 1e-6;
 
 }  // namespace
 
@@ -250,7 +252,7 @@ ClusterResult Fkmawcw::run_once(const data::DatasetView& ds, int k,
         objective += std::pow(u[i][l], config_.m) * dissimilarity(i, l);
       }
     }
-    if (std::abs(previous_objective - objective) < config_.epsilon) break;
+    if (std::abs(previous_objective - objective) < kObjectiveTolerance) break;
     previous_objective = objective;
   }
 

@@ -38,7 +38,6 @@ struct FkmawcwConfig {
   double p = 2.0;  // attribute-weight exponent (> 1)
   double q = 2.0;  // cluster-weight exponent (> 1)
   int max_iterations = 100;
-  double epsilon = 1e-6;  // objective-change stopping threshold
   Init init = Init::random;
   // Retry collapsed runs (fewer than k distinct labels after
   // defuzzification) with seeded random restarts before reporting failure.

@@ -93,9 +93,11 @@ QuerySelection select_queries(const data::DatasetView& ds,
 
   QuerySelection out;
   out.uncertainty.resize(n);
-  const double w = config.margin_weight;
+  // Blend weight on the margin signal (1 - weight goes to instability).
+  constexpr double kMarginWeight = 0.5;
   for (std::size_t i = 0; i < n; ++i) {
-    out.uncertainty[i] = w * (1.0 - margin[i]) + (1.0 - w) * instability[i];
+    out.uncertainty[i] = kMarginWeight * (1.0 - margin[i]) +
+                         (1.0 - kMarginWeight) * instability[i];
   }
 
   // Rank by uncertainty, then greedily take queries while capping how many

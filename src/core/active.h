@@ -14,9 +14,10 @@
 //     with its micro-cluster's majority when clusters merge? Objects that
 //     split away from their peers sit between coarse clusters.
 //
-// select_queries() ranks objects by blended uncertainty and spreads the
-// budget across micro-clusters (at most ceil(budget / k_fine) + 1 queries
-// per micro-cluster) so a single noisy region cannot absorb it all.
+// select_queries() ranks objects by blended uncertainty (margin and
+// instability weighted equally) and spreads the budget across
+// micro-clusters (at most ceil(budget / k_fine) + 1 queries per
+// micro-cluster) so a single noisy region cannot absorb it all.
 // propagate_labels() then spreads the acquired labels: each micro-cluster
 // takes the majority label of its queried members, unlabeled micro-clusters
 // inherit from the nearest labeled ancestor granularity.
@@ -33,8 +34,6 @@ namespace mcdc::core {
 
 struct QuerySelectionConfig {
   std::size_t budget = 32;
-  // Blend weight on the margin signal (1 - weight goes to instability).
-  double margin_weight = 0.5;
 };
 
 struct QuerySelection {

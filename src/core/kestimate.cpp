@@ -38,8 +38,10 @@ KEstimate estimate_k(const data::DatasetView& ds, const MgcplResult& mgcpl,
     cand.silhouette = metrics::categorical_silhouette(
         ds, mgcpl.partitions[static_cast<std::size_t>(j)]);
 
-    const double w = config.silhouette_weight;
-    cand.score = w * cand.silhouette + (1.0 - w) * cand.persistence;
+    // Blend weight on silhouette (1 - weight goes to persistence).
+    constexpr double kSilhouetteWeight = 0.7;
+    cand.score = kSilhouetteWeight * cand.silhouette +
+                 (1.0 - kSilhouetteWeight) * cand.persistence;
     out.candidates.push_back(cand);
   }
 

@@ -11,8 +11,9 @@
 //   - silhouette: the categorical silhouette of the stage's partition on
 //     the original data (metrics/internal.h).
 //
-// The recommended k maximises the blended score; the paper's own rule
-// (always k_sigma) is available via KEstimateConfig::prefer_coarsest.
+// The recommended k maximises the blended score (0.7 silhouette + 0.3
+// persistence); the paper's own rule (always k_sigma) is available via
+// KEstimateConfig::prefer_coarsest.
 #pragma once
 
 #include <vector>
@@ -32,8 +33,6 @@ struct KCandidate {
 };
 
 struct KEstimateConfig {
-  // Blend weight on silhouette (1 - weight goes to persistence).
-  double silhouette_weight = 0.7;
   // Reproduce the paper's rule: recommend k_sigma regardless of scores.
   bool prefer_coarsest = false;
 };

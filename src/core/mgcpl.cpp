@@ -43,8 +43,10 @@ MgcplResult Mgcpl::run(const data::DatasetView& ds, std::uint64_t seed) const {
       ds, rng.sample_without_replacement(n, static_cast<std::size_t>(k_initial)),
       stage_config);
 
+  // Upper bound on stages recorded (safety only).
+  constexpr int kMaxStages = 64;
   int k_old = k_initial;
-  for (int epoch = 0; epoch < config_.max_stages; ++epoch) {
+  for (int epoch = 0; epoch < kMaxStages; ++epoch) {
     const int passes = stage->run();
     const int k_new = stage->num_clusters();
     result.stages.push_back({k_old, k_new, passes});

@@ -38,8 +38,6 @@ struct MgcplConfig {
   bool penalty_uses_winner_similarity = false;
   // Eq. (7) winning-count accumulation mode (see StageConfig).
   bool cumulative_rho = true;
-  // Upper bound on stages recorded (safety only).
-  int max_stages = 64;
   // Sweeps one granularity may absorb before its partition is recorded and
   // the learning state resets; bounds per-stage elimination so the staged
   // descent of Fig. 5 emerges (a stage still ends early once stable).

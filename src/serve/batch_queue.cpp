@@ -6,14 +6,13 @@
 
 namespace mcdc::serve {
 
-BatchQueue::BatchQueue(std::size_t row_width, BatchQueueConfig config)
-    : row_width_(row_width), config_(config) {
+BatchQueue::BatchQueue(std::size_t row_width, std::size_t max_batch)
+    : row_width_(row_width), max_batch_(max_batch) {
   if (row_width_ == 0) {
     throw std::invalid_argument("BatchQueue: row_width must be > 0");
   }
-  if (config_.max_batch == 0 || config_.max_pending == 0) {
-    throw std::invalid_argument(
-        "BatchQueue: max_batch and max_pending must be > 0");
+  if (max_batch_ == 0) {
+    throw std::invalid_argument("BatchQueue: max_batch must be > 0");
   }
 }
 
@@ -24,7 +23,7 @@ std::size_t BatchQueue::pending_locked() const {
 std::future<int> BatchQueue::submit(const data::Value* row) {
   std::unique_lock lock(mutex_);
   producer_cv_.wait(lock, [this] {
-    return closed_ || pending_locked() < config_.max_pending;
+    return closed_ || pending_locked() < kMaxPending;
   });
   if (closed_) throw std::runtime_error("BatchQueue: submit after close");
   rows_.insert(rows_.end(), row, row + row_width_);
@@ -44,16 +43,15 @@ bool BatchQueue::next_batch(Batch& out) {
   // Linger for the batch to fill: overall latency is dominated by the
   // sweep, so trading a bounded wait for higher occupancy is usually a
   // win. A closed queue and a full batch both cut the wait short.
-  if (config_.linger_us > 0.0 && !closed_ &&
-      pending_locked() < config_.max_batch) {
+  if (!closed_ && pending_locked() < max_batch_) {
     // mcdc-lint: allow(D1) linger deadline shapes batch occupancy/latency
     // only; every row's label is computed by the same frozen sweep
     // whichever batch it lands in.
     const auto linger = std::chrono::duration_cast<
         std::chrono::steady_clock::duration>(
-        std::chrono::duration<double, std::micro>(config_.linger_us));
+        std::chrono::duration<double, std::micro>(kLingerUs));
     consumer_cv_.wait_for(lock, linger, [this] {
-      return closed_ || pending_locked() >= config_.max_batch;
+      return closed_ || pending_locked() >= max_batch_;
     });
     if (pending_locked() == 0) return false;
   }
@@ -62,7 +60,7 @@ bool BatchQueue::next_batch(Batch& out) {
   // buffers compact when fully drained (the common case) or once the dead
   // prefix exceeds the backpressure bound (amortised O(1) per request),
   // so the staging bank cannot grow without bound under sustained load.
-  const std::size_t take = std::min(pending_locked(), config_.max_batch);
+  const std::size_t take = std::min(pending_locked(), max_batch_);
   const auto head = static_cast<std::ptrdiff_t>(head_);
   const auto tail = static_cast<std::ptrdiff_t>(head_ + take);
   out.count = take;
@@ -77,7 +75,7 @@ bool BatchQueue::next_batch(Batch& out) {
     promises_.clear();
     enqueued_.clear();
     head_ = 0;
-  } else if (head_ >= config_.max_pending) {
+  } else if (head_ >= kMaxPending) {
     rows_.erase(rows_.begin(), rows_.begin() + static_cast<std::ptrdiff_t>(
                                                    head_ * row_width_));
     promises_.erase(promises_.begin(),
@@ -98,11 +96,6 @@ void BatchQueue::close() {
   }
   producer_cv_.notify_all();
   consumer_cv_.notify_all();
-}
-
-bool BatchQueue::closed() const {
-  std::lock_guard lock(mutex_);
-  return closed_;
 }
 
 std::size_t BatchQueue::pending() const {

@@ -14,7 +14,7 @@
 // bank compacts when empty, or amortised once the dead prefix passes the
 // backpressure bound).
 //
-// Backpressure: submit() blocks while max_pending requests are already
+// Backpressure: submit() blocks while kMaxPending requests are already
 // queued — a bounded queue keeps a slow consumer from converting overload
 // into unbounded memory growth. close() wakes everyone; a submit after
 // close throws std::runtime_error, and next_batch() returns false once the
@@ -35,22 +35,21 @@
 
 namespace mcdc::serve {
 
-struct BatchQueueConfig {
-  // Rows per drained batch; 1 degenerates to an unbatched request loop
-  // (the bench_serve baseline).
-  std::size_t max_batch = 256;
-  // Bound on queued requests before submit() blocks.
-  std::size_t max_pending = 4096;
-  // How long next_batch() lingers for a partial batch to fill once at
-  // least one request is pending, in microseconds. 0 = dispatch whatever
-  // is there immediately.
-  double linger_us = 50.0;
-};
-
 class BatchQueue {
  public:
-  // row_width = values per row (the served model's feature count).
-  explicit BatchQueue(std::size_t row_width, BatchQueueConfig config = {});
+  // Bound on queued requests before submit() blocks.
+  static constexpr std::size_t kMaxPending = 4096;
+  // How long next_batch() lingers for a partial batch to fill once at
+  // least one request is pending, in microseconds.
+  static constexpr double kLingerUs = 50.0;
+  // Rows per drained batch unless the caller asks for another size.
+  static constexpr std::size_t kDefaultMaxBatch = 256;
+
+  // row_width = values per row (the served model's feature count);
+  // max_batch = rows per drained batch, where 1 degenerates to an
+  // unbatched request loop (the bench_serve baseline).
+  explicit BatchQueue(std::size_t row_width,
+                      std::size_t max_batch = kDefaultMaxBatch);
 
   BatchQueue(const BatchQueue&) = delete;
   BatchQueue& operator=(const BatchQueue&) = delete;
@@ -72,14 +71,13 @@ class BatchQueue {
     std::size_t count = 0;
   };
 
-  // Blocks until a request is pending, lingers up to linger_us for more,
+  // Blocks until a request is pending, lingers up to kLingerUs for more,
   // then moves up to max_batch requests into `out`. Returns false when the
   // queue is closed and fully drained. Single consumer only.
   bool next_batch(Batch& out);
 
   // Rejects future submits and wakes the consumer to drain what remains.
   void close();
-  bool closed() const;
 
   std::size_t pending() const;
 
@@ -87,7 +85,7 @@ class BatchQueue {
   std::size_t pending_locked() const;  // requires mutex_ held
 
   const std::size_t row_width_;
-  const BatchQueueConfig config_;
+  const std::size_t max_batch_;
 
   mutable std::mutex mutex_;
   std::condition_variable producer_cv_;  // space available

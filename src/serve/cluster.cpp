@@ -12,6 +12,10 @@ namespace mcdc::serve {
 
 namespace {
 
+// Ring points per shard of the hash router; more points = smoother key
+// spread.
+constexpr std::size_t kVirtualNodes = 64;
+
 // FNV-1a over the row's value bytes — the request key of the hash router.
 std::uint64_t hash_row(const data::Value* row, std::size_t width) {
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(row);
@@ -33,19 +37,6 @@ std::uint64_t mix(std::uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Nearest-rank percentile (as ModelServer::stats uses) over a merged,
-// unsorted sample.
-double percentile(std::vector<double>& sample, double p) {
-  if (sample.empty()) return 0.0;
-  const double scaled = p * static_cast<double>(sample.size());
-  const auto above = static_cast<std::size_t>(std::ceil(scaled));
-  const std::size_t rank = std::min(sample.size() - 1, above - (above > 0));
-  std::nth_element(sample.begin(),
-                   sample.begin() + static_cast<std::ptrdiff_t>(rank),
-                   sample.end());
-  return sample[rank];
-}
-
 }  // namespace
 
 ServingCluster::ServingCluster(std::shared_ptr<const api::Model> model,
@@ -60,16 +51,15 @@ ServingCluster::ServingCluster(std::shared_ptr<const api::Model> model,
     throw std::invalid_argument("ServingCluster: num_shards must be > 0");
   }
   row_width_ = model->num_features();
-  if (config_.virtual_nodes == 0) config_.virtual_nodes = 1;
 
   shards_.reserve(config_.num_shards);
   for (std::size_t s = 0; s < config_.num_shards; ++s) {
     shards_.push_back(std::make_unique<ModelServer>(model, config_.shard));
   }
 
-  ring_.reserve(config_.num_shards * config_.virtual_nodes);
+  ring_.reserve(config_.num_shards * kVirtualNodes);
   for (std::size_t s = 0; s < config_.num_shards; ++s) {
-    for (std::size_t j = 0; j < config_.virtual_nodes; ++j) {
+    for (std::size_t j = 0; j < kVirtualNodes; ++j) {
       ring_.emplace_back(mix((static_cast<std::uint64_t>(s) << 32) | j),
                          static_cast<std::uint32_t>(s));
     }
@@ -291,10 +281,6 @@ api::ServeEvidence ServingCluster::stats() const {
   }
   out.generation = target_generation_.load();
   return out;
-}
-
-api::ServeEvidence ServingCluster::shard_stats(std::size_t s) const {
-  return shards_[s]->stats();
 }
 
 void ServingCluster::stop() {

@@ -8,7 +8,7 @@
 //
 // Routing modes (ClusterConfig::routing):
 //   - kHash: consistent hashing. The encoded row is hashed (FNV-1a over its
-//     value bytes) onto a ring of virtual_nodes points per shard, so the
+//     value bytes) onto a ring of 64 virtual nodes per shard, so the
 //     same row always lands on the same shard and shard counts can change
 //     without remapping every key. No model knowledge needed.
 //   - kLocality: the Sec. III-D idea applied to serving. Each model cluster
@@ -35,7 +35,7 @@
 // stats() aggregates per-shard ServeEvidence into the cluster view:
 // summed counters, merged latency samples (percentiles over the union —
 // never averaged percentiles), the routed-per-shard histogram and the
-// generation. Per-shard evidence stays available via shard_stats().
+// generation. One shard's own evidence is shard(s).stats().
 #pragma once
 
 #include <atomic>
@@ -60,9 +60,7 @@ enum class RoutingMode {
 struct ClusterConfig {
   std::size_t num_shards = 4;
   RoutingMode routing = RoutingMode::kHash;
-  // Ring points per shard; more points = smoother key spread.
-  std::size_t virtual_nodes = 64;
-  // Applied to every shard's ModelServer (queue shape, latency ring).
+  // Applied to every shard's ModelServer (batch size).
   ServeConfig shard;
   // Test/observability hook: called on the rolling thread immediately
   // after shard s republishes during rolling_swap (mid-window — other
@@ -131,9 +129,8 @@ class ServingCluster {
   GenerationStatus generations() const;
 
   // Aggregated cluster evidence (shards, routed histogram, generation,
-  // union-percentile latencies) / one shard's own evidence.
+  // union-percentile latencies).
   api::ServeEvidence stats() const;
-  api::ServeEvidence shard_stats(std::size_t s) const;
 
   // Direct access to shard s — for tests driving one shard's queue.
   ModelServer& shard(std::size_t s) { return *shards_[s]; }

@@ -43,10 +43,6 @@ namespace {
 // slot-order window is fine.
 class HistDivergenceDetector final : public DriftDetector {
  public:
-  explicit HistDivergenceDetector(const DriftConfig& config)
-      : tv_threshold_(config.hist_tv_threshold),
-        js_threshold_(config.hist_js_threshold) {}
-
   const char* name() const override { return "hist"; }
 
   DriftVerdict evaluate(const DriftContext& ctx) override {
@@ -82,17 +78,13 @@ class HistDivergenceDetector final : public DriftDetector {
       js_max = std::max(js_max, js);
     }
     verdict.statistic = std::max(tv_max, js_max);
-    verdict.fired = tv_max > tv_threshold_ || js_max > js_threshold_;
+    verdict.fired = tv_max > kHistTvThreshold || js_max > kHistJsThreshold;
     return verdict;
   }
 
   // Stateless against the snapshot: the baseline IS the published model's
   // profiles, which rebasing replaces wholesale.
   void rebase(const DriftContext& ctx) override { (void)ctx; }
-
- private:
-  double tv_threshold_;
-  double js_threshold_;
 };
 
 // --- ph --------------------------------------------------------------------
@@ -105,16 +97,13 @@ class HistDivergenceDetector final : public DriftDetector {
 // resets the test (a fresh snapshot defines a fresh score level).
 class PageHinkleyDetector final : public DriftDetector {
  public:
-  explicit PageHinkleyDetector(const DriftConfig& config)
-      : delta_(config.ph_delta), lambda_(config.ph_lambda) {}
-
   const char* name() const override { return "ph"; }
   bool needs_row_scores() const override { return true; }
 
   void observe_score(double score) override {
     ++n_;
     mean_ += (score - mean_) / static_cast<double>(n_);
-    cum_ += mean_ - score - delta_;
+    cum_ += mean_ - score - kPhDelta;
     cum_min_ = std::min(cum_min_, cum_);
   }
 
@@ -123,7 +112,7 @@ class PageHinkleyDetector final : public DriftDetector {
     DriftVerdict verdict;
     if (n_ == 0) return verdict;
     verdict.statistic = cum_ - cum_min_;
-    verdict.fired = verdict.statistic > lambda_;
+    verdict.fired = verdict.statistic > kPhLambda;
     return verdict;
   }
 
@@ -136,8 +125,6 @@ class PageHinkleyDetector final : public DriftDetector {
   }
 
  private:
-  double delta_;
-  double lambda_;
   std::uint64_t n_ = 0;
   double mean_ = 0.0;
   double cum_ = 0.0;
@@ -152,16 +139,11 @@ class PageHinkleyDetector final : public DriftDetector {
 // across the tracked quantiles.
 class QuantileShiftDetector final : public DriftDetector {
  public:
-  explicit QuantileShiftDetector(const DriftConfig& config)
-      : threshold_(config.quantile_threshold), quantiles_(config.quantiles) {}
-
   const char* name() const override { return "quantile"; }
 
   DriftVerdict evaluate(const DriftContext& ctx) override {
     DriftVerdict verdict;
-    if (ctx.rows == 0 || ctx.scores == nullptr || quantiles_.empty()) {
-      return verdict;
-    }
+    if (ctx.rows == 0 || ctx.scores == nullptr) return verdict;
     const std::vector<double> current = quantiles_of(ctx);
     if (baseline_.empty()) {
       // Same first-sighting anchoring as the mean baseline: a publish that
@@ -174,55 +156,45 @@ class QuantileShiftDetector final : public DriftDetector {
       worst = std::max(worst, baseline_[i] - current[i]);
     }
     verdict.statistic = worst;
-    verdict.fired = worst > threshold_;
+    verdict.fired = worst > kQuantileThreshold;
     return verdict;
   }
 
   void rebase(const DriftContext& ctx) override {
     baseline_.clear();
-    if (ctx.rows > 0 && ctx.scores != nullptr && !quantiles_.empty()) {
+    if (ctx.rows > 0 && ctx.scores != nullptr) {
       baseline_ = quantiles_of(ctx);
     }
   }
 
  private:
-  std::vector<double> quantiles_of(const DriftContext& ctx) const {
+  static std::vector<double> quantiles_of(const DriftContext& ctx) {
     std::vector<double> sorted(ctx.scores, ctx.scores + ctx.rows);
     std::sort(sorted.begin(), sorted.end());
-    std::vector<double> out(quantiles_.size());
-    for (std::size_t i = 0; i < quantiles_.size(); ++i) {
-      const double q = std::clamp(quantiles_[i], 0.0, 1.0);
+    std::vector<double> out(kScoreQuantiles.size());
+    for (std::size_t i = 0; i < kScoreQuantiles.size(); ++i) {
       const auto idx = static_cast<std::size_t>(
-          q * static_cast<double>(ctx.rows - 1));
+          kScoreQuantiles[i] * static_cast<double>(ctx.rows - 1));
       out[i] = sorted[idx];
     }
     return out;
   }
 
-  double threshold_;
-  std::vector<double> quantiles_;
   std::vector<double> baseline_;
 };
 
 }  // namespace
 
-std::unique_ptr<DriftDetector> make_hist_detector(const DriftConfig& config) {
-  return std::make_unique<HistDivergenceDetector>(config);
+std::unique_ptr<DriftDetector> make_page_hinkley_detector() {
+  return std::make_unique<PageHinkleyDetector>();
 }
 
-std::unique_ptr<DriftDetector> make_page_hinkley_detector(
-    const DriftConfig& config) {
-  return std::make_unique<PageHinkleyDetector>(config);
-}
-
-std::unique_ptr<DriftDetector> make_quantile_detector(
-    const DriftConfig& config) {
-  return std::make_unique<QuantileShiftDetector>(config);
+std::unique_ptr<DriftDetector> make_quantile_detector() {
+  return std::make_unique<QuantileShiftDetector>();
 }
 
 DetectorBank make_drift_detectors(const std::string& spec,
-                                  double mean_threshold,
-                                  const DriftConfig& config) {
+                                  double mean_threshold) {
   // Expand the spec into the requested name list.
   std::vector<std::string> names;
   if (spec == "ensemble") {
@@ -257,11 +229,11 @@ DetectorBank make_drift_detectors(const std::string& spec,
     }
     std::unique_ptr<DriftDetector> detector;
     if (name == "hist") {
-      detector = make_hist_detector(config);
+      detector = std::make_unique<HistDivergenceDetector>();
     } else if (name == "ph") {
-      detector = make_page_hinkley_detector(config);
+      detector = make_page_hinkley_detector();
     } else if (name == "quantile") {
-      detector = make_quantile_detector(config);
+      detector = make_quantile_detector();
     } else {
       throw std::invalid_argument(
           "drift detector: unknown kind \"" + name +

@@ -37,9 +37,12 @@
 // four) and refits when at least OnlineConfig::trigger_k of the voting
 // detectors fire on one tick (1 = any-of). The mean detector is always
 // constructed — it owns the baseline the evidence reports — but its vote
-// only counts when selected.
+// only counts when selected. The mean threshold is
+// OnlineConfig::drift_threshold; the other three detectors fire on the
+// fixed thresholds below (kHistTvThreshold ... kScoreQuantiles).
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -51,27 +54,24 @@
 
 namespace mcdc::serve {
 
-// Thresholds for the distributional detectors. The mean detector keeps its
-// original knob (OnlineConfig::drift_threshold) for compatibility.
-struct DriftConfig {
-  // hist: fire when the max-over-features divergence between the window's
-  // per-feature value distribution and the snapshot's pooled marginal
-  // exceeds either bound. TV and JS are both in [0, 1]; JS (log2) is the
-  // more sensitive of the two for small re-allocations of mass, TV for
-  // concentrated flips.
-  double hist_tv_threshold = 0.25;
-  double hist_js_threshold = 0.15;
-  // ph: per-row tolerance delta (drops smaller than this never accumulate)
-  // and alarm threshold lambda on the cumulative statistic m_t - min m_i.
-  // Scores live in [0, 1], so lambda ~ 1.5 needs e.g. a persistent 0.02
-  // score drop for ~100 rows, or a 0.15 drop for ~10.
-  double ph_delta = 0.005;
-  double ph_lambda = 1.5;
-  // quantile: fire when any tracked quantile of the window score
-  // distribution sinks more than this below its value at the last publish.
-  double quantile_threshold = 0.10;
-  std::vector<double> quantiles = {0.10, 0.25, 0.50};
-};
+// hist: fire when the max-over-features divergence between the window's
+// per-feature value distribution and the snapshot's pooled marginal exceeds
+// either bound. TV and JS are both in [0, 1]; JS (log2) is the more
+// sensitive of the two for small re-allocations of mass, TV for
+// concentrated flips.
+inline constexpr double kHistTvThreshold = 0.25;
+inline constexpr double kHistJsThreshold = 0.15;
+// ph: per-row tolerance delta (drops smaller than this never accumulate)
+// and alarm threshold lambda on the cumulative statistic m_t - min m_i.
+// Scores live in [0, 1], so lambda ~ 1.5 needs e.g. a persistent 0.02
+// score drop for ~100 rows, or a 0.15 drop for ~10.
+inline constexpr double kPhDelta = 0.005;
+inline constexpr double kPhLambda = 1.5;
+// quantile: fire when any tracked quantile of the window score
+// distribution sinks more than kQuantileThreshold below its value at the
+// last publish.
+inline constexpr double kQuantileThreshold = 0.10;
+inline constexpr std::array<double, 3> kScoreQuantiles = {0.10, 0.25, 0.50};
 
 // What one tick hands every detector. `window` holds the drift window's
 // rows (slot order — only order-insensitive consumers read it; the refit
@@ -133,11 +133,8 @@ class MeanDriftDetector final : public DriftDetector {
   bool baseline_set_ = false;
 };
 
-std::unique_ptr<DriftDetector> make_hist_detector(const DriftConfig& config);
-std::unique_ptr<DriftDetector> make_page_hinkley_detector(
-    const DriftConfig& config);
-std::unique_ptr<DriftDetector> make_quantile_detector(
-    const DriftConfig& config);
+std::unique_ptr<DriftDetector> make_page_hinkley_detector();
+std::unique_ptr<DriftDetector> make_quantile_detector();
 
 // The composed bank the updater runs. detectors[0] is always the mean
 // detector; voting[i] != 0 marks the detectors whose verdicts count toward
@@ -151,7 +148,6 @@ struct DetectorBank {
 // of those, or "ensemble" (all four) — into the bank. Throws
 // std::invalid_argument on an unknown or empty name.
 DetectorBank make_drift_detectors(const std::string& spec,
-                                  double mean_threshold,
-                                  const DriftConfig& config);
+                                  double mean_threshold);
 
 }  // namespace mcdc::serve

@@ -112,8 +112,8 @@ OnlineUpdater::OnlineUpdater(std::shared_ptr<ModelServer> server,
   }
   window_.resize(config_.window_capacity * learner_->num_features());
 
-  DetectorBank bank = make_drift_detectors(
-      config_.detector, config_.drift_threshold, config_.drift);
+  DetectorBank bank =
+      make_drift_detectors(config_.detector, config_.drift_threshold);
   detectors_ = std::move(bank.detectors);
   voting_ = std::move(bank.voting);
   // make_drift_detectors puts the mean detector first unconditionally — it

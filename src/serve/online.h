@@ -117,14 +117,13 @@ struct OnlineConfig {
   // Which drift detectors vote: "mean" (default, the PR 7 behaviour),
   // "hist", "ph", "quantile", a comma list of those, or "ensemble" (all
   // four). The mean detector is always constructed for the drift trace
-  // and baseline evidence; only selected detectors vote.
+  // and baseline evidence; only selected detectors vote. The hist, ph and
+  // quantile thresholds are constants in serve/drift.h.
   std::string detector = "mean";
   // Trigger policy over the voting detectors: refit when at least
   // trigger_k of them fire on one tick (clamped to the voting count;
   // 1 = any-of, voting count = all-of).
   std::size_t trigger_k = 1;
-  // Thresholds for the hist/ph/quantile detectors (serve/drift.h).
-  DriftConfig drift;
   core::StreamingConfig streaming;  // knobs for the "streaming" learner
   core::RgclConfig rgcl;            // knobs for the "mcdc-online" learner
   ServeConfig serve;                // Engine::serve_online's server config

@@ -9,17 +9,13 @@ namespace mcdc::serve {
 
 ModelServer::ModelServer(std::shared_ptr<const api::Model> model,
                          ServeConfig config)
-    : config_(config) {
-  row_width_ = model != nullptr ? model->num_features() : config.row_width;
-  if (model != nullptr) {
-#if defined(MCDC_SERVE_ATOMIC_SNAPSHOT)
-    snapshot_.store(std::move(model));
-#else
-    snapshot_unsync_ = std::move(model);
-#endif
-  }
+    : row_width_(model != nullptr ? model->num_features() : config.row_width) {
+  snapshot_ = std::move(model);
   if (row_width_ > 0) {
-    queue_ = std::make_unique<BatchQueue>(row_width_, config_.queue);
+    // The ring is allocated once: growing it batch by batch would copy it
+    // inside stats_mutex_ on the dispatcher thread.
+    latency_us_.reserve(kLatencySamples);
+    queue_ = std::make_unique<BatchQueue>(row_width_, config.max_batch);
     dispatcher_ = std::thread([this] { dispatch_loop(); });
   }
 }
@@ -27,12 +23,8 @@ ModelServer::ModelServer(std::shared_ptr<const api::Model> model,
 ModelServer::~ModelServer() { stop(); }
 
 std::shared_ptr<const api::Model> ModelServer::snapshot() const {
-#if defined(MCDC_SERVE_ATOMIC_SNAPSHOT)
-  return snapshot_.load();
-#else
   std::lock_guard lock(snapshot_mutex_);
-  return snapshot_unsync_;
-#endif
+  return snapshot_;
 }
 
 std::shared_ptr<const api::Model> ModelServer::publish(
@@ -43,13 +35,9 @@ std::shared_ptr<const api::Model> ModelServer::publish(
         context, row_width_, next->num_features()));
   }
   swaps_.fetch_add(1, std::memory_order_relaxed);
-#if defined(MCDC_SERVE_ATOMIC_SNAPSHOT)
-  return snapshot_.exchange(std::move(next));
-#else
   std::lock_guard lock(snapshot_mutex_);
-  std::swap(snapshot_unsync_, next);
+  std::swap(snapshot_, next);
   return next;
-#endif
 }
 
 std::shared_ptr<const api::Model> ModelServer::swap(
@@ -132,29 +120,18 @@ void ModelServer::record_batch(const BatchQueue::Batch& batch,
     first_batch_seconds_ = now_seconds - oldest;
   }
   last_batch_seconds_ = now_seconds;
-  if (config_.latency_capacity == 0) return;  // keep no latency samples
-  if (latency_us_.size() < config_.latency_capacity) {
-    latency_us_.reserve(
-        std::min(config_.latency_capacity, latency_us_.size() + batch.count));
-  }
   for (std::size_t i = 0; i < batch.count; ++i) {
     const double us = batch.enqueued[i].elapsed_seconds() * 1e6;
-    if (latency_us_.size() < config_.latency_capacity) {
+    if (latency_us_.size() < kLatencySamples) {
       latency_us_.push_back(us);
     } else {
       latency_us_[latency_next_] = us;
-      latency_next_ = (latency_next_ + 1) % config_.latency_capacity;
+      latency_next_ = (latency_next_ + 1) % kLatencySamples;
     }
-    ++latency_count_;
   }
 }
 
-namespace {
-
-// Nearest-rank percentile of an unsorted sample (copied; nth_element):
-// rank = ceil(p * N) - 1, so p99 of 100 samples is the 99th order
-// statistic, not the maximum.
-double percentile(std::vector<double> sample, double p) {
+double percentile(std::vector<double>& sample, double p) {
   if (sample.empty()) return 0.0;
   const double scaled = p * static_cast<double>(sample.size());
   const auto above = static_cast<std::size_t>(std::ceil(scaled));
@@ -164,8 +141,6 @@ double percentile(std::vector<double> sample, double p) {
                    sample.end());
   return sample[rank];
 }
-
-}  // namespace
 
 api::ServeEvidence ModelServer::stats() const {
   api::ServeEvidence out;
@@ -182,9 +157,10 @@ api::ServeEvidence ModelServer::stats() const {
   const double span = last_batch_seconds_ - first_batch_seconds_;
   out.throughput_rps =
       span > 0.0 ? static_cast<double>(requests_) / span : 0.0;
-  out.p50_latency_us = percentile(latency_us_, 0.50);
-  out.p99_latency_us = percentile(latency_us_, 0.99);
-  out.p999_latency_us = percentile(latency_us_, 0.999);
+  std::vector<double> sample = latency_us_;
+  out.p50_latency_us = percentile(sample, 0.50);
+  out.p99_latency_us = percentile(sample, 0.99);
+  out.p999_latency_us = percentile(sample, 0.999);
   return out;
 }
 

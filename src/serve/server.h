@@ -3,18 +3,20 @@
 // The paper's frozen-quotient scoring (ProfileSet::freeze, Eq. 14) makes a
 // fitted model a read-only object, which is exactly what a snapshot server
 // wants: the server holds one immutable std::shared_ptr<const Model> and
-// hands it out lock-free to any number of predictor threads. Publishing a
-// new model — a refit, a StreamingMgcpl drain rebuilt into a Model, or a
-// Model::from_json hot-reload — is a single atomic pointer swap: in-flight
-// batches keep scoring against the snapshot they loaded (their shared_ptr
-// keeps it alive), new batches see the new model, and nobody stalls.
+// hands copies of it to any number of predictor threads. A mutex guards
+// only that pointer copy (nanoseconds), never a sweep. Publishing a new
+// model — a refit, a StreamingMgcpl drain rebuilt into a Model, or a
+// Model::from_json hot-reload — swaps the pointer under the same mutex:
+// in-flight batches keep scoring against the snapshot they loaded (their
+// shared_ptr keeps it alive), new batches see the new model, and nobody
+// stalls behind a sweep.
 //
 // Two predict paths:
 //   - predict(DatasetView) scores a whole dataset against ONE snapshot
 //     (never a torn sweep across a swap) — the bulk path.
 //   - submit()/predict(row) enqueue single rows into a BatchQueue; a
 //     dispatcher thread coalesces them (up to max_batch, lingering
-//     linger_us) and answers each batch with one frozen
+//     BatchQueue::kLingerUs) and answers each batch with one frozen
 //     Model::predict_rows sweep fanned over the shared pool. Rows must
 //     already be in the model's encoding (Model::encoding_map translates
 //     foreign sources); out-of-domain codes score as missing, exactly as
@@ -27,8 +29,9 @@
 // std::invalid_argument before anything is published.
 //
 // stats() returns api::ServeEvidence — request/batch/swap counters, batch
-// occupancy, throughput, and p50/p99 submit-to-label latency — ready to
-// drop into a RunReport ("serve" object in the JSON).
+// occupancy, throughput, and p50/p99 submit-to-label latency over the
+// newest kLatencySamples requests — ready to drop into a RunReport ("serve"
+// object in the JSON).
 #pragma once
 
 #include <atomic>
@@ -44,42 +47,31 @@
 #include "common/timer.h"
 #include "serve/batch_queue.h"
 
-// Snapshot publication strategy. Under ThreadSanitizer the mutex path is
-// used even when the library has std::atomic<std::shared_ptr>: libstdc++'s
-// _Sp_atomic guards its pointer with a spinlock whose load() path unlocks
-// with memory_order_relaxed, so TSan cannot establish the happens-before
-// edge and reports the internal plain accesses — drowning out races in
-// *this* code. The mutex guards only the pointer copy (nanoseconds) and is
-// semantically identical. (MCDC_SERVE_ATOMIC_SNAPSHOT is consumed by
-// server.cpp too, so it survives this header; the TSan probe does not.)
-#if defined(__SANITIZE_THREAD__)  // GCC
-#define MCDC_SERVE_TSAN 1
-#elif defined(__has_feature)  // Clang spells it __has_feature
-#if __has_feature(thread_sanitizer)
-#define MCDC_SERVE_TSAN 1
-#endif
-#endif
-#if defined(__cpp_lib_atomic_shared_ptr) && !defined(MCDC_SERVE_TSAN)
-#define MCDC_SERVE_ATOMIC_SNAPSHOT 1
-#endif
-#undef MCDC_SERVE_TSAN
-
 namespace mcdc::serve {
 
+// Nearest-rank percentile of an unsorted sample: rank = ceil(p * N) - 1,
+// so p99 of 100 samples is the 99th order statistic, not the maximum. 0 for
+// an empty sample. Reorders `sample` (nth_element), so a caller can take
+// several percentiles of one copy.
+double percentile(std::vector<double>& sample, double p);
+
 struct ServeConfig {
-  BatchQueueConfig queue;
+  // Rows per drained batch; 1 degenerates to an unbatched request loop
+  // (the bench_serve baseline).
+  std::size_t max_batch = BatchQueue::kDefaultMaxBatch;
   // Feature count served when constructed without a model (a server that
   // starts empty and gets its first snapshot via swap()); ignored when a
   // model is given. 0 with no model = single-row path disabled until
   // construction with a width.
   std::size_t row_width = 0;
-  // Submit-to-label latency samples kept for the percentiles (a ring: the
-  // most recent samples win).
-  std::size_t latency_capacity = 1 << 14;
 };
 
 class ModelServer {
  public:
+  // Submit-to-label latency samples kept for the percentiles (a ring: the
+  // most recent samples win).
+  static constexpr std::size_t kLatencySamples = 1 << 14;
+
   explicit ModelServer(std::shared_ptr<const api::Model> model = nullptr,
                        ServeConfig config = {});
   ~ModelServer();
@@ -87,15 +79,15 @@ class ModelServer {
   ModelServer(const ModelServer&) = delete;
   ModelServer& operator=(const ModelServer&) = delete;
 
-  // The currently published snapshot (nullptr while empty). Lock-free;
-  // the returned shared_ptr keeps the model alive however long the caller
-  // scores against it.
+  // The currently published snapshot (nullptr while empty): a pointer
+  // copy under a mutex held for nanoseconds. The returned shared_ptr keeps
+  // the model alive however long the caller scores against it.
   std::shared_ptr<const api::Model> snapshot() const;
 
-  // Atomically publishes `next` (nullptr unpublishes) and returns the
-  // previous snapshot. In-flight batches finish on the model they loaded.
-  // Throws std::invalid_argument when `next`'s feature count does not
-  // match the server's row width.
+  // Publishes `next` (nullptr unpublishes) and returns the previous
+  // snapshot, in one exchange under the snapshot mutex. In-flight batches
+  // finish on the model they loaded. Throws std::invalid_argument when
+  // `next`'s feature count does not match the server's row width.
   std::shared_ptr<const api::Model> swap(
       std::shared_ptr<const api::Model> next);
 
@@ -138,17 +130,11 @@ class ModelServer {
   std::shared_ptr<const api::Model> publish(
       std::shared_ptr<const api::Model> next, const char* context);
 
-  ServeConfig config_;
   std::size_t row_width_ = 0;
 
-#if defined(MCDC_SERVE_ATOMIC_SNAPSHOT)
-  std::atomic<std::shared_ptr<const api::Model>> snapshot_;
-#else
-  // Fallback (pre-C++20 library or TSan): a mutex guarding only the
-  // pointer copy.
+  // The published snapshot; the mutex guards only the pointer copy.
   mutable std::mutex snapshot_mutex_;
-  std::shared_ptr<const api::Model> snapshot_unsync_;
-#endif
+  std::shared_ptr<const api::Model> snapshot_;
 
   std::unique_ptr<BatchQueue> queue_;  // null when row width is 0
   std::thread dispatcher_;
@@ -159,9 +145,8 @@ class ModelServer {
   mutable std::mutex stats_mutex_;
   std::uint64_t requests_ = 0;
   std::uint64_t batches_ = 0;
-  std::vector<double> latency_us_;  // ring of the last latency_capacity
+  std::vector<double> latency_us_;  // ring of the last kLatencySamples
   std::size_t latency_next_ = 0;
-  std::uint64_t latency_count_ = 0;
   Timer session_;                 // epoch for the throughput window
   double first_batch_seconds_ = -1.0;
   double last_batch_seconds_ = -1.0;

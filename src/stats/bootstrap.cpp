@@ -11,13 +11,12 @@ namespace mcdc::stats {
 
 namespace {
 
+constexpr std::size_t kResamples = 2000;
+
 BootstrapInterval bootstrap_means(const std::vector<double>& values,
                                   const BootstrapConfig& config) {
   if (values.empty()) {
     throw std::invalid_argument("bootstrap: empty sample");
-  }
-  if (config.resamples == 0) {
-    throw std::invalid_argument("bootstrap: need resamples >= 1");
   }
   if (config.confidence <= 0.0 || config.confidence >= 1.0) {
     throw std::invalid_argument("bootstrap: confidence outside (0, 1)");
@@ -29,9 +28,9 @@ BootstrapInterval bootstrap_means(const std::vector<double>& values,
 
   Rng rng(config.seed);
   std::vector<double> means;
-  means.reserve(config.resamples);
+  means.reserve(kResamples);
   std::size_t non_positive = 0;
-  for (std::size_t b = 0; b < config.resamples; ++b) {
+  for (std::size_t b = 0; b < kResamples; ++b) {
     double sum = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       sum += values[rng.below(n)];
@@ -50,7 +49,7 @@ BootstrapInterval bootstrap_means(const std::vector<double>& values,
   out.lower = index(alpha / 2.0);
   out.upper = index(1.0 - alpha / 2.0);
   out.fraction_non_positive =
-      static_cast<double>(non_positive) / static_cast<double>(config.resamples);
+      static_cast<double>(non_positive) / static_cast<double>(kResamples);
   return out;
 }
 

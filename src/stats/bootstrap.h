@@ -11,7 +11,6 @@
 namespace mcdc::stats {
 
 struct BootstrapConfig {
-  std::size_t resamples = 2000;
   // Two-sided confidence level (0.95 -> the [2.5%, 97.5%] interval).
   double confidence = 0.95;
   std::uint64_t seed = 1;
@@ -28,7 +27,8 @@ struct BootstrapInterval {
   bool excludes_zero() const { return lower > 0.0 || upper < 0.0; }
 };
 
-// Percentile bootstrap of mean(a[i] - b[i]) over paired scores.
+// Percentile bootstrap of mean(a[i] - b[i]) over paired scores, from 2000
+// resamples.
 BootstrapInterval paired_bootstrap(const std::vector<double>& a,
                                    const std::vector<double>& b,
                                    const BootstrapConfig& config = {});

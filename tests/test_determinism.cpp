@@ -229,7 +229,7 @@ TEST(ThreadDeterminism, ServingSweepsAreWidthInvariant) {
 
   const std::vector<int> labels = sweep_widths("ModelServer", [&] {
     serve::ServeConfig config;
-    config.queue.max_batch = 64;
+    config.max_batch = 64;
     serve::ModelServer server(model, config);
     // Pipelined submits so the dispatcher drains real multi-row batches
     // (each batch is one parallel predict_rows sweep).

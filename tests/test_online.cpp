@@ -512,7 +512,8 @@ TEST(DriftDetectorBank, HistCatchesBijectiveFlipTheMeanAlarmMisses) {
 
   serve::OnlineConfig config = tight_online_config();
   config.detector = "hist";  // mean rides along passively
-  // Default OnlineConfig/DriftConfig thresholds — the point of the test.
+  // Default OnlineConfig threshold and the fixed hist thresholds — the
+  // point of the test.
   config.drift_threshold = serve::OnlineConfig{}.drift_threshold;
   auto server = std::make_shared<serve::ModelServer>();
   serve::OnlineUpdater updater(
@@ -540,7 +541,7 @@ TEST(DriftDetectorBank, HistCatchesBijectiveFlipTheMeanAlarmMisses) {
   EXPECT_EQ(mean.fired_ticks, 0u) << "mean alarm should sleep through a flip";
   EXPECT_LT(mean.max_statistic, serve::OnlineConfig{}.drift_threshold);
   EXPECT_GE(hist.fired_ticks, 1u) << "hist detector missed the flip";
-  EXPECT_GT(hist.max_statistic, serve::DriftConfig{}.hist_tv_threshold);
+  EXPECT_GT(hist.max_statistic, serve::kHistTvThreshold);
   ASSERT_GE(evidence.refits, 1u);
   ASSERT_FALSE(evidence.refit_detectors.empty());
   EXPECT_EQ(evidence.refit_detectors.front(), "hist");
@@ -580,8 +581,8 @@ TEST(DriftDetectorBank, TriggerPolicyKOfNHoldsWhenOnlyOneFires) {
 }
 
 TEST(DriftDetectorBank, PageHinkleyFiresOnPersistentSmallDrop) {
-  const serve::DriftConfig config;  // delta 0.005, lambda 1.5
-  const auto detector = serve::make_page_hinkley_detector(config);
+  // kPhDelta = 0.005, kPhLambda = 1.5
+  const auto detector = serve::make_page_hinkley_detector();
   EXPECT_TRUE(detector->needs_row_scores());
 
   serve::DriftContext ctx;  // PH ignores the window — sequential state only
@@ -601,8 +602,8 @@ TEST(DriftDetectorBank, PageHinkleyFiresOnPersistentSmallDrop) {
 }
 
 TEST(DriftDetectorBank, QuantileDetectorSeesSinkingLowerTail) {
-  const serve::DriftConfig config;  // quantiles {0.10, 0.25, 0.50}
-  const auto detector = serve::make_quantile_detector(config);
+  // kScoreQuantiles = {0.10, 0.25, 0.50}
+  const auto detector = serve::make_quantile_detector();
 
   std::vector<double> healthy(100, 0.9);
   serve::DriftContext ctx;
@@ -622,9 +623,8 @@ TEST(DriftDetectorBank, QuantileDetectorSeesSinkingLowerTail) {
 }
 
 TEST(DriftDetectorBank, SpecParsingBuildsTheRequestedBank) {
-  const serve::DriftConfig config;
   const serve::DetectorBank ensemble =
-      serve::make_drift_detectors("ensemble", 0.1, config);
+      serve::make_drift_detectors("ensemble", 0.1);
   ASSERT_EQ(ensemble.detectors.size(), 4u);
   EXPECT_STREQ(ensemble.detectors[0]->name(), "mean");
   EXPECT_STREQ(ensemble.detectors[1]->name(), "hist");
@@ -634,7 +634,7 @@ TEST(DriftDetectorBank, SpecParsingBuildsTheRequestedBank) {
 
   // A non-mean spec still constructs the mean detector, passively.
   const serve::DetectorBank hist_only =
-      serve::make_drift_detectors("hist", 0.1, config);
+      serve::make_drift_detectors("hist", 0.1);
   ASSERT_EQ(hist_only.detectors.size(), 2u);
   EXPECT_STREQ(hist_only.detectors[0]->name(), "mean");
   EXPECT_EQ(hist_only.voting[0], 0);
@@ -642,12 +642,12 @@ TEST(DriftDetectorBank, SpecParsingBuildsTheRequestedBank) {
 
   // Duplicates collapse; unknown names throw.
   const serve::DetectorBank deduped =
-      serve::make_drift_detectors("hist,hist,mean", 0.1, config);
+      serve::make_drift_detectors("hist,hist,mean", 0.1);
   EXPECT_EQ(deduped.detectors.size(), 2u);
   EXPECT_NE(deduped.voting[0], 0);
-  EXPECT_THROW(serve::make_drift_detectors("nope", 0.1, config),
+  EXPECT_THROW(serve::make_drift_detectors("nope", 0.1),
                std::invalid_argument);
-  EXPECT_THROW(serve::make_drift_detectors("", 0.1, config),
+  EXPECT_THROW(serve::make_drift_detectors("", 0.1),
                std::invalid_argument);
 }
 

@@ -211,10 +211,7 @@ TEST(Engine, ServeBindsTheLastFit) {
 }
 
 TEST(BatchQueue, CoalescesUpToMaxBatch) {
-  serve::BatchQueueConfig config;
-  config.max_batch = 4;
-  config.linger_us = 0.0;
-  serve::BatchQueue queue(1, config);
+  serve::BatchQueue queue(1, /*max_batch=*/4);
 
   std::vector<std::future<int>> futures;
   for (data::Value v = 0; v < 10; ++v) futures.push_back(queue.submit(&v));
@@ -231,6 +228,49 @@ TEST(BatchQueue, CoalescesUpToMaxBatch) {
     EXPECT_EQ(futures[i].get(), static_cast<int>(i));
   }
   EXPECT_EQ(queue.pending(), 6u);
+}
+
+TEST(BatchQueue, KeepsSubmitOrderAcrossCompaction) {
+  // Fill the queue to its backpressure bound, drain one batch, then queue
+  // more behind the rest. The drains that follow carry the head cursor
+  // past kMaxPending while requests are still staged, so the dead prefix
+  // is compacted mid-stream; every batch must still hand out rows in
+  // submit order, each with its own request's promise.
+  serve::BatchQueue queue(1);
+  const std::size_t first = serve::BatchQueue::kMaxPending;
+  const std::size_t more = 256;
+  std::vector<std::future<int>> futures;
+  futures.reserve(first + more);
+  data::Value next = 0;
+  for (std::size_t i = 0; i < first; ++i, ++next) {
+    futures.push_back(queue.submit(&next));
+  }
+
+  serve::BatchQueue::Batch batch;
+  data::Value expected = 0;
+  const auto answer_in_order = [&] {
+    for (std::size_t j = 0; j < batch.count; ++j, ++expected) {
+      EXPECT_EQ(batch.rows[j], expected);
+      batch.promises[j].set_value(batch.rows[j]);
+    }
+  };
+  ASSERT_TRUE(queue.next_batch(batch));
+  answer_in_order();
+  for (std::size_t i = 0; i < more; ++i, ++next) {
+    futures.push_back(queue.submit(&next));
+  }
+  queue.close();
+  std::size_t batches = 1;
+  while (queue.next_batch(batch)) {
+    answer_in_order();
+    ++batches;
+  }
+  EXPECT_EQ(static_cast<std::size_t>(expected), first + more);
+  EXPECT_EQ(batches, (first + more) / serve::BatchQueue::kDefaultMaxBatch);
+  EXPECT_EQ(queue.pending(), 0u);
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    EXPECT_EQ(futures[i].get(), static_cast<int>(i));
+  }
 }
 
 TEST(BatchQueue, CloseDrainsThenStops) {
@@ -251,9 +291,24 @@ TEST(BatchQueue, CloseDrainsThenStops) {
 
 TEST(BatchQueue, RejectsDegenerateConfigs) {
   EXPECT_THROW(serve::BatchQueue(0), std::invalid_argument);
-  serve::BatchQueueConfig config;
-  config.max_batch = 0;
-  EXPECT_THROW(serve::BatchQueue(1, config), std::invalid_argument);
+  EXPECT_THROW(serve::BatchQueue(1, /*max_batch=*/0), std::invalid_argument);
+}
+
+TEST(ModelServer, LatencyRingKeepsTheNewestSamples) {
+  // More requests than the ring holds: every request is counted, and the
+  // ring stays at exactly kLatencySamples (newer samples overwrite older).
+  const std::size_t n = 20000;
+  static_assert(20000 > serve::ModelServer::kLatencySamples);
+  serve::ModelServer server(model_always_zero());
+  const data::Value row[] = {2};
+  std::vector<std::future<int>> futures;
+  futures.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) futures.push_back(server.submit(row));
+  for (std::future<int>& label : futures) EXPECT_EQ(label.get(), 0);
+
+  EXPECT_EQ(server.stats().requests, n);
+  EXPECT_EQ(server.latency_samples().size(),
+            serve::ModelServer::kLatencySamples);
 }
 
 TEST(ModelServer, StopIsIdempotentAndDestructorSafe) {

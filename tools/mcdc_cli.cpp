@@ -617,10 +617,7 @@ int cmd_serve(const Cli& cli) {
   // --batch resizes the per-server coalescing bound.
   const long batch = cli.get_int("batch", 0);
   serve::ServeConfig shard_config;
-  if (batch > 0) {
-    shard_config.queue.max_batch = static_cast<std::size_t>(batch);
-    if (batch == 1) shard_config.queue.linger_us = 0.0;
-  }
+  if (batch > 0) shard_config.max_batch = static_cast<std::size_t>(batch);
 
   if (cli.has("learn")) {
     if (cli.get_int("shards", 0) > 0) {
