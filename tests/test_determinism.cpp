@@ -14,6 +14,8 @@
 //   - the full serve::OnlineUpdater loop (observe -> drift -> swap/refit)
 //     over a fixed two-act replay, snapshot predictions and every evidence
 //     counter included,
+//   - the multi-detector drift bank (hist, ph, quantile) over a drifting
+//     stream at both SIMD dispatch levels, statistic bits included,
 //   - every registered method's frozen Model::predict under each SIMD
 //     dispatch level × thread width (the core/simd.h byte-identity
 //     contract).
@@ -28,6 +30,7 @@
 // failure than a thread-count divergence and must be just as deliberate.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -35,6 +38,7 @@
 #include <future>
 #include <initializer_list>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "api/engine.h"
@@ -361,6 +365,181 @@ TEST(ThreadDeterminism, OnlineLoopIsWidthInvariant) {
   // the decision sequence itself is unchanged from the previous pin.
   EXPECT_EQ(fnv1a(kFnvSeed, outcome), 0x010924e709361159ULL)
       << "single-thread online loop drifted";
+#endif
+}
+
+// The drift-detector bank, bit for bit. OnlineLoopIsWidthInvariant runs
+// the default bank (the mean detector alone); this golden pins the other
+// three detectors' statistics and the decisions they drive. A seeded
+// nested stream (12 segments of 800 rows, every other one code-shifted,
+// 6% missing cells, every 97th row all-missing, scattered out-of-domain
+// codes) runs through five updaters whose chunk sizes straddle the tick
+// cadence: both learners, both multi-detector banks, a window smaller
+// than the cadence, k-of-n voting, two empty-server starts and two
+// external swaps behind the updater's back. Per chunk the hash takes every
+// counter, the baseline and drift statistics, and each detector's fired
+// ticks, refits and last/max statistic bits; per case the drift trace,
+// the refit triggers, the observe ids and the final snapshot's labels.
+struct BankCase {
+  const char* learner;
+  const char* detector;
+  std::size_t chunk;
+  std::size_t tick_every;
+  std::size_t window = 1024;
+  std::size_t trigger_k = 1;
+  bool empty_start = false;  // the server holds no snapshot at the start
+  std::size_t swap_after = 0;  // chunks before an external swap; 0 = none
+  bool swap_clean = true;      // swap in the clean fit (else the shift export)
+};
+
+std::uint64_t fnv1a_u64(std::uint64_t h,
+                        std::initializer_list<std::uint64_t> values) {
+  for (const std::uint64_t u : values) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (u >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
+}
+
+std::uint64_t fnv1a_text(std::uint64_t h, const std::string& text) {
+  for (const char c : text) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return fnv1a_u64(h, {text.size()});
+}
+
+std::uint64_t hash_online_evidence(std::uint64_t h,
+                                   const api::OnlineEvidence& ev) {
+  h = fnv1a_u64(h, {ev.ticks, ev.swaps, ev.refits, ev.holds,
+                    ev.rows_observed, ev.rows_absorbed, ev.generation,
+                    ev.first_refit_tick,
+                    static_cast<std::uint64_t>(ev.clusters)});
+  h = fnv1a_bits(h, {ev.baseline_score, ev.last_drift, ev.max_drift});
+  for (const api::DriftDetectorEvidence& det : ev.detectors) {
+    h = fnv1a_u64(h, {det.fired_ticks, det.refits});
+    h = fnv1a_bits(h, {det.last_statistic, det.max_statistic});
+  }
+  return h;
+}
+
+std::uint64_t bank_case_hash(const BankCase& c,
+                             const std::vector<data::Value>& stream,
+                             const std::vector<int>& cardinalities,
+                             const std::shared_ptr<const api::Model>& clean,
+                             const std::shared_ptr<const api::Model>& shift) {
+  const std::size_t d = cardinalities.size();
+  const std::size_t n = stream.size() / d;
+  serve::OnlineConfig config;
+  config.learner = c.learner;
+  config.detector = c.detector;
+  config.tick_every = c.tick_every;
+  config.window_capacity = c.window;
+  config.trigger_k = c.trigger_k;
+  config.seed = 29;
+  auto server = std::make_shared<serve::ModelServer>(
+      c.empty_start ? nullptr : clean);
+  serve::OnlineUpdater updater(
+      server, serve::make_online_learner(config, cardinalities), config);
+  std::uint64_t h = kFnvSeed;
+  std::vector<int> ids;
+  std::size_t chunks = 0;
+  for (std::size_t lo = 0; lo < n; lo += c.chunk) {
+    const std::size_t m = std::min(c.chunk, n - lo);
+    const std::vector<int> got = updater.observe(&stream[lo * d], m);
+    ids.insert(ids.end(), got.begin(), got.end());
+    h = hash_online_evidence(h, updater.evidence());
+    if (++chunks == c.swap_after) server->swap(c.swap_clean ? clean : shift);
+  }
+  const api::OnlineEvidence ev = updater.evidence();
+  for (const double drift : ev.drift_scores) h = fnv1a_bits(h, {drift});
+  for (const std::string& names : ev.refit_detectors) h = fnv1a_text(h, names);
+  h = fnv1a(h, ids);
+  std::vector<int> labels(n);
+  server->snapshot()->predict_rows(stream.data(), n, labels.data());
+  h = fnv1a(h, labels);
+  server->stop();
+  return h;
+}
+
+TEST(DetectorDeterminism, DetectorBankIsPinnedAtBothDispatchLevels) {
+  data::NestedConfig table_config;
+  table_config.num_objects = 9600;
+  table_config.num_features = 12;
+  table_config.coarse_features = 8;
+  table_config.num_coarse = 4;
+  table_config.fine_per_coarse = 2;
+  table_config.cardinality = 8;
+  table_config.purity = 0.9;
+  table_config.seed = 1801;
+  const data::Dataset ds = data::with_missing_cells(
+      data::nested(table_config).dataset, 0.06, 1802);
+  const std::size_t n = ds.num_objects();
+  const std::size_t d = ds.num_features();
+  const std::vector<int>& cards = ds.cardinalities();
+  constexpr std::size_t kSegment = 800;
+  std::vector<data::Value> stream(n * d);
+  for (std::size_t i = 0; i < n; ++i) {
+    data::Value* row = &stream[i * d];
+    ds.gather_row(i, row);
+    for (std::size_t r = 0; r < d; ++r) {
+      if (i % 97 == 0) {
+        row[r] = data::kMissing;
+      } else if ((i / kSegment) % 2 == 1 && row[r] != data::kMissing) {
+        row[r] = (row[r] + 1) % cards[r];
+      }
+    }
+    // Codes outside the domain, which every scorer, learner and the hist
+    // detector must treat as missing.
+    if (i % 41 == 7) row[i % d] = cards[i % d] + static_cast<int>(i % 3);
+    if (i % 43 == 5) row[(i + 1) % d] = -2;
+  }
+
+  // The clean fit serves the fitted starts; the shift export is a streaming
+  // learner's snapshot of the first shifted segment.
+  std::vector<std::size_t> head(kSegment);
+  for (std::size_t i = 0; i < kSegment; ++i) head[i] = i;
+  const api::FitResult fitted = fit(ds.subset(head), "mcdc1");
+  ASSERT_TRUE(fitted.ok());
+  const auto clean = std::make_shared<const api::Model>(fitted.model);
+  std::unique_ptr<serve::OnlineLearner> exporter =
+      serve::make_online_learner(serve::OnlineConfig{}, cards);
+  for (std::size_t i = kSegment; i < 2 * kSegment; ++i) {
+    exporter->observe(&stream[i * d]);
+  }
+  exporter->end_chunk();
+  const auto shift = std::make_shared<const api::Model>(exporter->to_model());
+
+  const BankCase cases[] = {
+      {.learner = "streaming", .detector = "ensemble", .chunk = 100,
+       .tick_every = 256, .swap_after = 19, .swap_clean = false},
+      {.learner = "mcdc-online", .detector = "ensemble", .chunk = 1000,
+       .tick_every = 128, .window = 100},
+      {.learner = "streaming", .detector = "ph,quantile", .chunk = 1000,
+       .tick_every = 128, .empty_start = true, .swap_after = 2},
+      {.learner = "mcdc-online", .detector = "ph,quantile", .chunk = 100,
+       .tick_every = 256, .empty_start = true},
+      {.learner = "streaming", .detector = "ensemble", .chunk = 77,
+       .tick_every = 300, .trigger_k = 2},
+  };
+  const core::simd::Level entry = core::simd::level();
+  std::uint64_t hashes[2] = {kFnvSeed, kFnvSeed};
+  for (const core::simd::Level level :
+       {core::simd::Level::kScalar, core::simd::Level::kAvx2}) {
+    core::simd::set_level(level);
+    std::uint64_t& h = hashes[static_cast<std::size_t>(level)];
+    for (const BankCase& c : cases) {
+      h = fnv1a_u64(h, {bank_case_hash(c, stream, cards, clean, shift)});
+    }
+  }
+  core::simd::set_level(entry);
+  EXPECT_EQ(hashes[1], hashes[0])
+      << "detector bank diverged between the scalar and "
+      << core::simd::level_name(core::simd::level()) << " kernel tables";
+#if defined(__linux__) && defined(__GLIBC__)
+  EXPECT_EQ(hashes[0], 0x97948f326e6ba375ULL) << "detector bank drifted";
 #endif
 }
 
