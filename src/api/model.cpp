@@ -101,15 +101,17 @@ int Model::predict_row(const data::Value* row) const {
 }
 
 double Model::predict_score(const data::Value* row) const {
+  double score = 0.0;
+  predict_scores(row, 1, &score);
+  return score;
+}
+
+void Model::predict_scores(const data::Value* rows, std::size_t n,
+                           double* out) const {
   if (!has_schema()) {
-    throw std::logic_error("Model::predict_score: unfitted model");
+    throw std::logic_error("Model::predict_scores: unfitted model");
   }
-  if (k() == 0) return 0.0;
-  std::vector<double> scores(static_cast<std::size_t>(k()));
-  bank_.score_all(row, scores.data());
-  double best = 0.0;
-  for (const double s : scores) best = std::max(best, s);
-  return best;
+  bank_.best_scores(rows, n, out);  // k = 0: max over no lanes, 0.0
 }
 
 void Model::predict_rows(const data::Value* rows, std::size_t n,

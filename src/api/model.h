@@ -95,12 +95,24 @@ class Model {
   int predict_row(const data::Value* row) const;
 
   // Best-cluster similarity of a row in the model's encoding — the same
-  // argmax sweep as predict_row, returning the winning Eq. (1) score
-  // instead of the label. This is the drift detector's signal: a window
-  // whose mean best score sinks below the published snapshot's baseline is
-  // data the snapshot no longer explains. 0.0 for a k = 0 model; throws
-  // std::logic_error when the model has no schema.
+  // sweep as predict_row, returning the winning Eq. (1) score instead of
+  // the label. This is the drift detector's signal: a window whose mean
+  // best score sinks below the published snapshot's baseline is data the
+  // snapshot no longer explains. predict_scores over the one row; its tile
+  // scratch is per thread and grow-only, so a steady-state call allocates
+  // nothing. 0.0 for a k = 0 model; throws std::logic_error when the model
+  // has no schema.
   double predict_score(const data::Value* row) const;
+
+  // Batched predict_score over n rows packed like predict_rows' input:
+  // out[i] is the running std::max from 0.0 over row i's k cluster scores
+  // (0.0 for every row of a k = 0 model). Runs ProfileSet::best_scores,
+  // the 32-row frozen tile, on the calling thread; every score is the
+  // double score_all gives, bit for bit. Throws std::logic_error when the
+  // model has no schema. The online loop scores its drift window through
+  // it.
+  void predict_scores(const data::Value* rows, std::size_t n,
+                      double* out) const;
 
   // Batched predict_row: `rows` packs n rows of num_features() values each
   // (row-major, already in the model's encoding), labels land in

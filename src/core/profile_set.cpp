@@ -19,10 +19,24 @@ constexpr std::size_t round_up_stride(std::size_t slots) {
   return (slots + kLineSlots - 1) / kLineSlots * kLineSlots;
 }
 
-// Rows per gathered tile of the batch argmax: cell offsets for 32 rows are
-// resolved in one pass (amortising any view indirection) before the
-// register-blocked score_row microkernel sweeps them.
+// Rows per gathered tile of the batch sweeps (best_clusters, best_scores):
+// cell offsets for 32 rows are resolved in one pass (amortising any view
+// indirection) before the register-blocked score_row microkernel sweeps
+// them.
 constexpr std::size_t kRowTile = 32;
+
+// Per-thread scratch of the row-tile sweeps: one tile's cell offsets and
+// one row of lane scores. Grow-only, so a steady-state sweep — a one-row
+// Model::predict_score included — allocates nothing.
+struct TileScratch {
+  std::vector<std::size_t> cells;
+  std::vector<double> scores;
+};
+
+TileScratch& tile_scratch() {
+  thread_local TileScratch scratch;
+  return scratch;
+}
 
 void assert_bank_aligned(const AlignedVec<double>& bank) {
   // mcdc-lint: allow(D4) debug alignment assert — the address feeds a
@@ -486,65 +500,79 @@ int ProfileSet::best_cluster(const data::DatasetView& ds, std::size_t i,
                                 static_cast<std::size_t>(k_));
 }
 
-void ProfileSet::best_clusters_tile(const std::size_t* cells, std::size_t m,
-                                    double* scores, int* out) const {
+template <typename ValueAt, typename Reduce>
+void ProfileSet::sweep_row_tiles(std::size_t n, ValueAt value,
+                                 Reduce reduce) const {
+  if (n == 0) return;
+  if (!frozen_) freeze();
   const auto k = static_cast<std::size_t>(k_);
   const std::size_t d = cardinalities_.size();
+  TileScratch& scratch = tile_scratch();
+  if (scratch.cells.size() < kRowTile * d) scratch.cells.resize(kRowTile * d);
+  if (scratch.scores.size() < k) scratch.scores.resize(k);
+  std::size_t* cells = scratch.cells.data();
+  double* scores = scratch.scores.data();
   const simd::Kernels& kr = simd::kernels();
-  // The score_row microkernel register-blocks the k x d sweep: a
-  // 32-cluster block of accumulators stays in registers across the whole
-  // feature loop, with one fused divide-and-store at the end. Per lane
-  // the op sequence (zero, += per feature in r order, one division) is
-  // exactly the per-row acc/div path, so labels stay byte-identical.
   const double* bank = probs_.data();
-  for (std::size_t t = 0; t < m; ++t) {
-    kr.score_row_f64(scores, bank, cells + t * d, d, static_cast<double>(d),
-                     k);
-    out[t] = kr.argmax(scores, k);
+  for (std::size_t t0 = 0; t0 < n; t0 += kRowTile) {
+    const std::size_t m = std::min(kRowTile, n - t0);
+    for (std::size_t t = 0; t < m; ++t) {
+      for (std::size_t r = 0; r < d; ++r) {
+        const data::Value v = value(t0 + t, r);
+        cells[t * d + r] =
+            in_domain(r, v) ? cell(r, v) * stride_ : simd::kNoCell;
+      }
+    }
+    // The score_row microkernel register-blocks the k x d sweep: a
+    // 32-cluster block of accumulators stays in registers across the whole
+    // feature loop, with one fused divide-and-store at the end. Per lane
+    // the op sequence (zero, += per feature in r order, one division) is
+    // exactly the per-row acc/div path, so scores and labels stay
+    // byte-identical to it.
+    for (std::size_t t = 0; t < m; ++t) {
+      kr.score_row_f64(scores, bank, cells + t * d, d, static_cast<double>(d),
+                       k);
+      reduce(t0 + t, scores);
+    }
   }
 }
 
 void ProfileSet::best_clusters(const data::DatasetView& ds, std::size_t lo,
                                std::size_t hi, int* out) const {
   if (hi <= lo) return;
-  if (!frozen_) freeze();
   const auto k = static_cast<std::size_t>(k_);
-  const std::size_t d = cardinalities_.size();
-  std::vector<std::size_t> cells(kRowTile * d);
-  std::vector<double> scores(k);
-  for (std::size_t t0 = lo; t0 < hi; t0 += kRowTile) {
-    const std::size_t m = std::min(kRowTile, hi - t0);
-    for (std::size_t t = 0; t < m; ++t) {
-      for (std::size_t r = 0; r < d; ++r) {
-        const data::Value v = ds.at(t0 + t, r);
-        cells[t * d + r] =
-            in_domain(r, v) ? cell(r, v) * stride_ : simd::kNoCell;
-      }
-    }
-    best_clusters_tile(cells.data(), m, scores.data(), out + (t0 - lo));
-  }
+  const simd::Kernels& kr = simd::kernels();
+  sweep_row_tiles(
+      hi - lo,
+      [&ds, lo](std::size_t i, std::size_t r) { return ds.at(lo + i, r); },
+      [out, &kr, k](std::size_t i, const double* scores) {
+        out[i] = kr.argmax(scores, k);
+      });
 }
 
 void ProfileSet::best_clusters(const data::Value* rows, std::size_t n,
                                int* out) const {
-  if (n == 0) return;
-  if (!frozen_) freeze();
   const auto k = static_cast<std::size_t>(k_);
   const std::size_t d = cardinalities_.size();
-  std::vector<std::size_t> cells(kRowTile * d);
-  std::vector<double> scores(k);
-  for (std::size_t t0 = 0; t0 < n; t0 += kRowTile) {
-    const std::size_t m = std::min(kRowTile, n - t0);
-    for (std::size_t t = 0; t < m; ++t) {
-      const data::Value* row = rows + (t0 + t) * d;
-      for (std::size_t r = 0; r < d; ++r) {
-        const data::Value v = row[r];
-        cells[t * d + r] =
-            in_domain(r, v) ? cell(r, v) * stride_ : simd::kNoCell;
-      }
-    }
-    best_clusters_tile(cells.data(), m, scores.data(), out + t0);
-  }
+  const simd::Kernels& kr = simd::kernels();
+  sweep_row_tiles(
+      n, [rows, d](std::size_t i, std::size_t r) { return rows[i * d + r]; },
+      [out, &kr, k](std::size_t i, const double* scores) {
+        out[i] = kr.argmax(scores, k);
+      });
+}
+
+void ProfileSet::best_scores(const data::Value* rows, std::size_t n,
+                             double* out) const {
+  const auto k = static_cast<std::size_t>(k_);
+  const std::size_t d = cardinalities_.size();
+  sweep_row_tiles(
+      n, [rows, d](std::size_t i, std::size_t r) { return rows[i * d + r]; },
+      [out, k](std::size_t i, const double* scores) {
+        double best = 0.0;
+        for (std::size_t l = 0; l < k; ++l) best = std::max(best, scores[l]);
+        out[i] = best;
+      });
 }
 
 void ProfileSet::freeze() const {

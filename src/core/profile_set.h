@@ -164,6 +164,12 @@ class ProfileSet {
   // The same over n contiguous pre-encoded rows (row i at
   // rows + i * num_features()).
   void best_clusters(const data::Value* rows, std::size_t n, int* out) const;
+  // Frozen batched best score over n contiguous pre-encoded rows: out[i] is
+  // a running std::max from 0.0 over row i's k lane scores in ascending
+  // lane order (0.0 when k = 0). The same tile sweep as best_clusters; each
+  // lane's score is score_all's double bit for bit, so out[i] is exactly
+  // the max over score_all of row i.
+  void best_scores(const data::Value* rows, std::size_t n, double* out) const;
 
   // Precomputes every count/non_null quotient so subsequent score sweeps
   // are division-free. Call when the profiles are frozen for a batch pass;
@@ -209,11 +215,12 @@ class ProfileSet {
     frozen_ = false;
     probs_.clear();
   }
-  // One cache-blocked tile of the batched argmax: cells[t * d + r] is the
-  // bank offset of row t's (r, v) cell block (kNoCell when missing/out of
-  // domain), scores is m * k scratch, out receives m labels.
-  void best_clusters_tile(const std::size_t* cells, std::size_t m,
-                          double* scores, int* out) const;
+  // The frozen row-tile sweep behind best_clusters and best_scores, for
+  // rows i in [0, n): value(i, r) reads row i's code of feature r, and
+  // reduce(i, scores) consumes the row's k lane scores. Defined (and only
+  // instantiated) in profile_set.cpp.
+  template <typename ValueAt, typename Reduce>
+  void sweep_row_tiles(std::size_t n, ValueAt value, Reduce reduce) const;
 
   int k_ = 0;
   // Slots per (feature, value) cell, >= k_; slots in [k_, stride_) are

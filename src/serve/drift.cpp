@@ -38,9 +38,11 @@ namespace {
 
 // Max-over-features TV / JS divergence between the window's per-feature
 // value distributions and the published snapshot's pooled ProfileSet
-// marginals. The window histogram is accumulated into a one-cluster
-// ProfileSet — integral counts, so the sums are order-independent and the
-// slot-order window is fine.
+// marginals. The window histogram is counted into a flat per-cell array
+// with per-feature non-null totals — integral counts, so the sums are
+// order-independent and the slot-order window is fine — and each
+// p[v] = count / mass is the same division of the same integral doubles
+// ProfileSet::marginal_distribution performs on a one-cluster bank.
 class HistDivergenceDetector final : public DriftDetector {
  public:
   const char* name() const override { return "hist"; }
@@ -53,25 +55,40 @@ class HistDivergenceDetector final : public DriftDetector {
     const core::ProfileSet& bank = ctx.snapshot->profile_bank();
     if (bank.num_features() != ctx.d) return verdict;
 
-    core::ProfileSet window_hist(bank.cardinalities(), 1);
+    const std::vector<int>& cards = bank.cardinalities();
+    offsets_.resize(ctx.d + 1);
+    offsets_[0] = 0;
+    for (std::size_t r = 0; r < ctx.d; ++r) {
+      offsets_[r + 1] = offsets_[r] + static_cast<std::size_t>(cards[r]);
+    }
+    counts_.assign(offsets_[ctx.d], 0.0);
+    mass_.assign(ctx.d, 0.0);
     for (std::size_t j = 0; j < ctx.rows; ++j) {
-      window_hist.add(0, ctx.window + j * ctx.d);
+      const data::Value* row = ctx.window + j * ctx.d;
+      for (std::size_t r = 0; r < ctx.d; ++r) {
+        const data::Value v = row[r];
+        if (v < 0 || v >= cards[r]) continue;  // missing or out of domain
+        counts_[offsets_[r] + static_cast<std::size_t>(v)] += 1.0;
+        mass_[r] += 1.0;
+      }
     }
 
     double tv_max = 0.0;
     double js_max = 0.0;
-    std::vector<double> p, q;
     for (std::size_t r = 0; r < ctx.d; ++r) {
       // Features with no non-null mass on either side carry no evidence.
-      if (window_hist.marginal_distribution(r, p) <= 0.0) continue;
-      if (bank.marginal_distribution(r, q) <= 0.0) continue;
+      if (mass_[r] <= 0.0) continue;
+      if (bank.marginal_distribution(r, q_) <= 0.0) continue;
+      const double* count = counts_.data() + offsets_[r];
       double tv = 0.0;
       double js = 0.0;
-      for (std::size_t v = 0; v < p.size(); ++v) {
-        tv += std::abs(p[v] - q[v]);
-        const double m = 0.5 * (p[v] + q[v]);
-        if (p[v] > 0.0) js += 0.5 * p[v] * std::log2(p[v] / m);
-        if (q[v] > 0.0) js += 0.5 * q[v] * std::log2(q[v] / m);
+      for (std::size_t v = 0; v < q_.size(); ++v) {
+        const double p = count[v] / mass_[r];
+        const double q = q_[v];
+        tv += std::abs(p - q);
+        const double m = 0.5 * (p + q);
+        if (p > 0.0) js += 0.5 * p * std::log2(p / m);
+        if (q > 0.0) js += 0.5 * q * std::log2(q / m);
       }
       tv *= 0.5;
       tv_max = std::max(tv_max, tv);
@@ -85,6 +102,14 @@ class HistDivergenceDetector final : public DriftDetector {
   // Stateless against the snapshot: the baseline IS the published model's
   // profiles, which rebasing replaces wholesale.
   void rebase(const DriftContext& ctx) override { (void)ctx; }
+
+ private:
+  // Evaluate scratch: cell offsets per feature, the window's per-cell
+  // counts and per-feature non-null mass, and one pooled snapshot marginal.
+  std::vector<std::size_t> offsets_;
+  std::vector<double> counts_;
+  std::vector<double> mass_;
+  std::vector<double> q_;
 };
 
 // --- ph --------------------------------------------------------------------
@@ -133,8 +158,8 @@ class PageHinkleyDetector final : public DriftDetector {
 
 // --- quantile --------------------------------------------------------------
 
-// Score-quantile shift: the window's score quantiles (nearest-rank on a
-// sorted copy, so the slot-order context is fine) against the quantiles
+// Score-quantile shift: the window's nearest-rank score quantiles (order
+// statistics, so the slot-order context is fine) against the quantiles
 // captured at the last publish. statistic = the worst downward shift
 // across the tracked quantiles.
 class QuantileShiftDetector final : public DriftDetector {
@@ -168,19 +193,30 @@ class QuantileShiftDetector final : public DriftDetector {
   }
 
  private:
-  static std::vector<double> quantiles_of(const DriftContext& ctx) {
-    std::vector<double> sorted(ctx.scores, ctx.scores + ctx.rows);
-    std::sort(sorted.begin(), sorted.end());
+  static_assert(std::is_sorted(kScoreQuantiles.begin(), kScoreQuantiles.end()),
+                "quantiles_of narrows its range in ascending rank order");
+
+  // The nearest-rank values sorted[floor(q * (rows - 1))]. The ranks
+  // ascend with q, so each std::nth_element selects within the range the
+  // previous one left at or above its rank — the same elements a full sort
+  // would put there.
+  std::vector<double> quantiles_of(const DriftContext& ctx) {
+    scratch_.assign(ctx.scores, ctx.scores + ctx.rows);
     std::vector<double> out(kScoreQuantiles.size());
+    auto first = scratch_.begin();
     for (std::size_t i = 0; i < kScoreQuantiles.size(); ++i) {
-      const auto idx = static_cast<std::size_t>(
+      const auto rank = static_cast<std::ptrdiff_t>(
           kScoreQuantiles[i] * static_cast<double>(ctx.rows - 1));
-      out[i] = sorted[idx];
+      const auto nth = scratch_.begin() + rank;
+      std::nth_element(first, nth, scratch_.end());
+      out[i] = *nth;
+      first = nth;
     }
     return out;
   }
 
   std::vector<double> baseline_;
+  std::vector<double> scratch_;  // the window's scores, partially ordered
 };
 
 }  // namespace

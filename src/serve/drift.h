@@ -79,6 +79,10 @@ inline constexpr std::array<double, 3> kScoreQuantiles = {0.10, 0.25, 0.50};
 // and materialises its own copy), `scores` the per-row predict_score of
 // those rows under `snapshot`, and `mean_score` their mean accumulated in
 // the same slot order — bit-identical to the PR 7 drift signal.
+// `scores` is the updater's score ring: each row is scored once per
+// published snapshot (as it streams in, or in one batch after an external
+// swap), and on a rebase it holds the scores the publish-if-better gate
+// took of the new snapshot.
 struct DriftContext {
   const data::Value* window = nullptr;  // rows * d values, slot order
   std::size_t rows = 0;
@@ -103,8 +107,10 @@ class DriftDetector {
   // (the sequential tests); false detectors cost nothing between ticks.
   virtual bool needs_row_scores() const { return false; }
   // Per-row hook, called in stream order with the row's predict_score
-  // under the currently published snapshot. Only called when
-  // needs_row_scores() — and never before a snapshot is published.
+  // under the currently published snapshot (the updater scores each
+  // observe() segment in one batch, then feeds the scores one by one).
+  // Only called when needs_row_scores() — and never before a snapshot is
+  // published.
   virtual void observe_score(double score) { (void)score; }
   // The tick decision over the current window.
   virtual DriftVerdict evaluate(const DriftContext& ctx) = 0;

@@ -111,6 +111,8 @@ OnlineUpdater::OnlineUpdater(std::shared_ptr<ModelServer> server,
         "OnlineUpdater: window_capacity must be >= 1");
   }
   window_.resize(config_.window_capacity * learner_->num_features());
+  window_scores_.resize(config_.window_capacity);
+  candidate_scores_.resize(config_.window_capacity);
 
   DetectorBank bank =
       make_drift_detectors(config_.detector, config_.drift_threshold);
@@ -123,9 +125,6 @@ OnlineUpdater::OnlineUpdater(std::shared_ptr<ModelServer> server,
   for (const char v : voting_) voters += (v != 0) ? 1 : 0;
   trigger_needed_ = std::max<std::size_t>(config_.trigger_k, 1);
   trigger_needed_ = std::min(trigger_needed_, std::max<std::size_t>(voters, 1));
-  for (const auto& detector : detectors_) {
-    need_row_scores_ = need_row_scores_ || detector->needs_row_scores();
-  }
   verdicts_.resize(detectors_.size());
   drift_ring_.resize(kTraceCapacity);
   // Inherit whatever the server already publishes — the sequential tests
@@ -146,57 +145,65 @@ std::vector<int> OnlineUpdater::observe(const data::Value* rows,
   const std::size_t d = learner_->num_features();
   const std::size_t cap = config_.window_capacity;
   std::vector<int> ids(n);
-  std::size_t pending = 0;
-  const auto flush = [&] {
-    if (pending == 0) return;
-    std::lock_guard<std::mutex> lock(evidence_mutex_);
-    evidence_.rows_observed += pending;
-    evidence_.rows_absorbed += pending;
-    pending = 0;
-  };
-  for (std::size_t i = 0; i < n; ++i) {
-    const data::Value* row = rows + i * d;
-    ids[i] = learner_->observe(row);
-    if (need_row_scores_ && published_snapshot_ &&
-        published_snapshot_->has_schema()) {
-      // Feed the sequential tests the row's score under the published
-      // snapshot, in stream order — the Page-Hinkley accumulator advances
-      // exactly once per observed row.
-      const double score = published_snapshot_->predict_score(row);
+  for (std::size_t i = 0; i < n;) {
+    // A segment ends at the next tick boundary, so all of it is scored
+    // under one published snapshot, and holds at most one window.
+    const std::size_t m =
+        std::min({n - i, config_.tick_every - rows_since_tick_, cap});
+    const data::Value* segment = rows + i * d;
+    for (std::size_t t = 0; t < m; ++t) {
+      ids[i + t] = learner_->observe(segment + t * d);
+    }
+    const bool scored =
+        published_snapshot_ && published_snapshot_->has_schema();
+    if (scored) {
+      segment_scores_.resize(m);
+      published_snapshot_->predict_scores(segment, m, segment_scores_.data());
+      // The sequential tests take each row's score in stream order — the
+      // Page-Hinkley accumulator advances exactly once per observed row.
       for (const auto& detector : detectors_) {
-        if (detector->needs_row_scores()) detector->observe_score(score);
+        if (!detector->needs_row_scores()) continue;
+        for (std::size_t t = 0; t < m; ++t) {
+          detector->observe_score(segment_scores_[t]);
+        }
       }
+    } else {
+      window_scored_ = false;
     }
-    std::copy(row, row + d, window_.begin() + window_next_ * d);
-    window_next_ = (window_next_ + 1) % cap;
-    window_rows_ = std::min(window_rows_ + 1, cap);
-    ++rows_since_tick_;
-    ++rows_since_publish_;
-    ++pending;
-    if (rows_since_tick_ >= config_.tick_every) {
-      flush();
-      tick();
+    for (std::size_t t = 0; t < m; ++t) {
+      std::copy(segment + t * d, segment + (t + 1) * d,
+                window_.data() + window_next_ * d);
+      if (scored) window_scores_[window_next_] = segment_scores_[t];
+      window_next_ = (window_next_ + 1) % cap;
     }
+    window_rows_ = std::min(window_rows_ + m, cap);
+    rows_since_tick_ += m;
+    rows_since_publish_ += m;
+    i += m;
+    {
+      std::lock_guard<std::mutex> lock(evidence_mutex_);
+      evidence_.rows_observed += m;
+      evidence_.rows_absorbed += m;
+    }
+    if (rows_since_tick_ >= config_.tick_every) tick();
   }
-  flush();
   return ids;
 }
 
-double OnlineUpdater::window_mean_score(const api::Model& model,
-                                        std::vector<double>* scores) const {
-  const std::size_t d = learner_->num_features();
-  if (scores != nullptr) scores->resize(window_rows_);
+double OnlineUpdater::window_mean_score(
+    const std::vector<double>& scores) const {
   double total = 0.0;
   // Accumulated in ring-slot order — the summation order the PR 7 loop
   // established; the gate and the mean detector both depend on these exact
   // low-order bits, so the order never changes (order-sensitive consumers
   // like the refit replay materialise their own oldest-first copy).
-  for (std::size_t j = 0; j < window_rows_; ++j) {
-    const double score = model.predict_score(window_.data() + j * d);
-    if (scores != nullptr) (*scores)[j] = score;
-    total += score;
-  }
+  for (std::size_t j = 0; j < window_rows_; ++j) total += scores[j];
   return window_rows_ == 0 ? 0.0 : total / static_cast<double>(window_rows_);
+}
+
+double OnlineUpdater::score_candidate(const api::Model& model) {
+  model.predict_scores(window_.data(), window_rows_, candidate_scores_.data());
+  return window_mean_score(candidate_scores_);
 }
 
 void OnlineUpdater::materialize_window() {
@@ -211,23 +218,25 @@ void OnlineUpdater::materialize_window() {
   }
 }
 
-void OnlineUpdater::publish(api::Model model) {
+void OnlineUpdater::publish(api::Model model, double mean) {
   const auto next = std::make_shared<const api::Model>(std::move(model));
   server_->swap(next);
   published_snapshot_ = next;
   rows_since_publish_ = 0;
+  // The candidate's window scores become the ring's: every held row is now
+  // scored under the published snapshot without scoring it again.
+  window_scores_.swap(candidate_scores_);
+  window_scored_ = true;
   // Rebase every detector under the published snapshot: drift is measured
   // against what serving traffic actually scores on now, so each
   // incremental swap resets the yardstick — sequential state restarts, the
   // quantile baseline re-captures — and only abrupt, unabsorbed shift
   // accumulates into a trigger.
-  const double mean =
-      window_rows_ > 0 ? window_mean_score(*next, &scratch_scores_) : 0.0;
   DriftContext ctx;
   ctx.window = window_.data();
   ctx.rows = window_rows_;
   ctx.d = learner_->num_features();
-  ctx.scores = window_rows_ > 0 ? scratch_scores_.data() : nullptr;
+  ctx.scores = window_rows_ > 0 ? window_scores_.data() : nullptr;
   ctx.mean_score = mean;
   ctx.snapshot = next.get();
   for (const auto& detector : detectors_) detector->rebase(ctx);
@@ -240,8 +249,15 @@ void OnlineUpdater::publish(api::Model model) {
 TickAction OnlineUpdater::tick() {
   learner_->end_chunk();
 
+  // The ring's scores are reused only under the snapshot they were taken
+  // under. The updater holds that shared_ptr, so its address cannot be
+  // recycled under this comparison; after an external swap (or an
+  // empty-server start) the window is rescored below in one batch.
   const std::shared_ptr<const api::Model> published = server_->snapshot();
-  published_snapshot_ = published;
+  if (published != published_snapshot_) {
+    published_snapshot_ = published;
+    window_scored_ = false;
+  }
 
   TickAction action = TickAction::kHold;
   double drift = 0.0;
@@ -255,17 +271,24 @@ TickAction OnlineUpdater::tick() {
     // anything beats nothing.
     if (learner_->num_clusters() > 0 && rows_since_publish_ > 0) {
       action = TickAction::kSwap;
-      publish(learner_->to_model());
+      api::Model first = learner_->to_model();
+      const double mean = score_candidate(first);
+      publish(std::move(first), mean);
     }
   } else {
     std::size_t votes = 0;
     if (window_rows_ > 0) {
-      published_mean = window_mean_score(*published, &scratch_scores_);
+      if (!window_scored_) {
+        published->predict_scores(window_.data(), window_rows_,
+                                  window_scores_.data());
+        window_scored_ = true;
+      }
+      published_mean = window_mean_score(window_scores_);
       DriftContext ctx;
       ctx.window = window_.data();
       ctx.rows = window_rows_;
       ctx.d = learner_->num_features();
-      ctx.scores = scratch_scores_.data();
+      ctx.scores = window_scores_.data();
       ctx.mean_score = published_mean;
       ctx.snapshot = published.get();
       for (std::size_t i = 0; i < detectors_.size(); ++i) {
@@ -288,7 +311,9 @@ TickAction OnlineUpdater::tick() {
         learner_->observe(scratch_rows_.data() + j * d);
       }
       learner_->end_chunk();
-      publish(learner_->to_model());
+      api::Model refit = learner_->to_model();
+      const double mean = score_candidate(refit);
+      publish(std::move(refit), mean);
     } else if (learner_->num_clusters() > 0 && rows_since_publish_ > 0) {
       // Publish-if-better: the candidate only replaces the snapshot when
       // it explains the recent window strictly better. A half-formed
@@ -296,9 +321,10 @@ TickAction OnlineUpdater::tick() {
       // well on (and an empty learner's k = 0 model never displaces
       // anything).
       api::Model candidate = learner_->to_model();
-      if (window_mean_score(candidate) > published_mean) {
+      const double mean = score_candidate(candidate);
+      if (mean > published_mean) {
         action = TickAction::kSwap;
-        publish(std::move(candidate));
+        publish(std::move(candidate), mean);
       }
     }
   }

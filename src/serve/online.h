@@ -3,7 +3,8 @@
 //
 //            observe(rows)
 //                 |
-//          [learner absorbs, window ring records]
+//          [learner absorbs; window ring records each row and
+//           its score under the published snapshot]
 //                 |
 //        tick (every tick_every rows, or manual)
 //                 |
@@ -47,14 +48,26 @@
 // every constructed detector's statistics and which ones fired each
 // refit.
 //
+// Scoring cost: each window row is scored once per published snapshot.
+// observe() scores its rows in batches (Model::predict_scores, segments
+// cut at tick boundaries) under the published snapshot, feeds those
+// scores to Page-Hinkley and keeps them in a score ring beside the window
+// ring, so a tick under the same snapshot reuses them. The gate scores
+// its candidate once; when the candidate publishes, those scores become
+// the ring and rebase the detectors. Besides the gate's candidate, only a
+// refit's model, the first publish from an empty server and a snapshot
+// swapped in behind the updater's back score the whole window, each in
+// one batch.
+//
 // Determinism contract: every decision is a function of the rows observed
 // and their order — the cadence is counted in rows, the drift signal is
-// Model::predict_score arithmetic, the learners replay deterministically
-// (StreamingMgcpl's update is closed-form; RgclLearner's Bernoulli trials
-// are content-keyed hash draws). There is no wall clock anywhere in the
-// loop, so a replayed stream reproduces every tick, swap and refit
-// bit-exactly at any thread width (the test_determinism online goldens pin
-// this).
+// Model::predict_scores arithmetic (every mean sums the ring in slot
+// order, however its scores were taken), the learners replay
+// deterministically (StreamingMgcpl's update is closed-form; RgclLearner's
+// Bernoulli trials are content-keyed hash draws). There is no wall clock
+// anywhere in the loop, so a replayed stream reproduces every tick, swap
+// and refit bit-exactly at any thread width (the test_determinism online
+// and detector-bank goldens pin this).
 //
 // Thread-safety: observe()/tick() follow the learners' single-writer
 // contract — one updater thread. The ModelServer side is free-running:
@@ -163,16 +176,22 @@ class OnlineUpdater {
   api::OnlineEvidence evidence() const;
 
  private:
-  // Mean best-cluster score of the window under `model`, accumulated in
-  // ring-slot order — the publish-if-better gate's signal. With `scores`,
-  // also writes each row's score (same slot order) for the detectors.
-  double window_mean_score(const api::Model& model,
-                           std::vector<double>* scores = nullptr) const;
+  // Mean of the held slots of `scores` (window_scores_ or
+  // candidate_scores_), summed in ring-slot order: the publish-if-better
+  // gate, the mean detector and the evidence all take this one sum, so
+  // they see the same bits whether the scores were taken row by row as
+  // the stream arrived or in one batch at a tick.
+  double window_mean_score(const std::vector<double>& scores) const;
+  // Scores the window under `model` into candidate_scores_ in one batch
+  // and returns their mean.
+  double score_candidate(const api::Model& model);
   // Copies the window into scratch_rows_ oldest-first — the order the
   // refit replay needs.
   void materialize_window();
-  // Publishes the exported model; rebases every detector under it.
-  void publish(api::Model model);
+  // Publishes the exported model, whose window scores score_candidate()
+  // left in candidate_scores_ (slot-order mean `mean`): they become the
+  // ring's scores, and every detector is rebased under them.
+  void publish(api::Model model, double mean);
   void record(double drift);
 
   std::shared_ptr<ModelServer> server_;
@@ -186,24 +205,33 @@ class OnlineUpdater {
   std::vector<char> voting_;
   std::size_t trigger_needed_ = 1;
   MeanDriftDetector* mean_detector_ = nullptr;  // owned by detectors_[0]
-  bool need_row_scores_ = false;  // any detector consumes the score stream
   // The snapshot the loop itself published last (or inherited at
-  // construction) — the model the per-row score stream is measured under.
-  // Single-writer like observe()/tick(); external swaps behind the
-  // updater's back are not part of the replay contract.
+  // construction, or found on the server at a tick) — the model the
+  // per-row score stream and the score ring are measured under. Holding
+  // it keeps its address from being reused while tick() compares it with
+  // the server's. Single-writer like observe()/tick(); external swaps
+  // behind the updater's back are not part of the replay contract.
   std::shared_ptr<const api::Model> published_snapshot_;
 
   // Drift window: a ring of the last window_capacity rows, flat row-major.
   std::vector<data::Value> window_;
   std::size_t window_rows_ = 0;  // rows currently held (<= capacity)
   std::size_t window_next_ = 0;  // ring write position
+  // The score ring beside it: window_scores_[slot] is that row's score under
+  // published_snapshot_. window_scored_ says every held slot is scored under
+  // it; it drops when rows arrive with no snapshot to score them, or when a
+  // tick finds the server publishing a snapshot the updater did not.
+  std::vector<double> window_scores_;
+  bool window_scored_ = true;
   std::size_t rows_since_tick_ = 0;
   std::size_t rows_since_publish_ = 0;
-  // Tick scratch (member-owned so steady-state ticks allocate nothing):
-  // the oldest-first window copy, the per-row score buffer and the
-  // per-detector verdicts of the last evaluated tick.
+  // Scratch (member-owned so steady-state ticks allocate nothing): the
+  // window's scores under a tick's candidate (swapped into window_scores_
+  // when it publishes), one observe() segment's scores, the oldest-first
+  // window copy and the per-detector verdicts of the last evaluated tick.
+  std::vector<double> candidate_scores_;
+  std::vector<double> segment_scores_;
   std::vector<data::Value> scratch_rows_;
-  std::vector<double> scratch_scores_;
   std::vector<DriftVerdict> verdicts_;
 
   mutable std::mutex evidence_mutex_;

@@ -5,12 +5,14 @@
 // selection and array round trips, out-of-domain clamping, and fixed-seed
 // label goldens across every registered method (the byte-identity contract
 // of the kernel); plus the register-blocked batch argmax vs the per-row
-// scan and the freeze() single-writer contract under concurrent frozen
-// readers (the tsan CI job runs this binary).
+// scan, the batched best score (Model::predict_scores) vs the score_all
+// reference, and the freeze() single-writer contract under concurrent
+// frozen readers (the tsan CI job runs this binary).
 #include "core/profile_set.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -19,6 +21,8 @@
 #include "api/engine.h"
 #include "common/rng.h"
 #include "core/similarity.h"
+#include "core/simd.h"
+#include "core/streaming.h"
 #include "data/noise.h"
 #include "data/synthetic.h"
 
@@ -363,6 +367,141 @@ TEST(ProfileSet, ConcurrentFrozenReads) {
   }
   for (std::thread& r : readers) r.join();
   for (const std::vector<int>& labels : got) EXPECT_EQ(labels, reference);
+}
+
+// The best-score loop predict_score ran before the batched path: score_all
+// over every cluster, then a running std::max from 0.0. Kept as the
+// reference Model::predict_scores must equal bit for bit.
+double reference_best_score(const core::ProfileSet& bank,
+                            const data::Value* row) {
+  std::vector<double> scores(static_cast<std::size_t>(bank.num_clusters()));
+  bank.score_all(row, scores.data());
+  double best = 0.0;
+  for (const double s : scores) best = std::max(best, s);
+  return best;
+}
+
+// Rows over `cardinalities` with in-domain codes, kMissing and every 9th
+// row all-missing; with `out_of_domain`, also negative and >= cardinality
+// codes (which a Dataset rejects, but the scorers must clamp to missing).
+std::vector<data::Value> score_rows(const std::vector<int>& cardinalities,
+                                    std::size_t n, std::uint64_t seed,
+                                    bool out_of_domain) {
+  Rng rng(seed);
+  const std::size_t d = cardinalities.size();
+  std::vector<data::Value> rows(n * d);
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t r = 0; r < d; ++r) {
+      const int card = cardinalities[r];
+      data::Value v = static_cast<data::Value>(
+          rng.below(static_cast<std::uint64_t>(card)));
+      const double roll = rng.uniform();
+      if (i % 9 == 4 || roll < 0.08) {
+        v = data::kMissing;
+      } else if (out_of_domain && roll < 0.12) {
+        v = -2 - static_cast<data::Value>(rng.below(3));
+      } else if (out_of_domain && roll < 0.16) {
+        v = card + static_cast<data::Value>(rng.below(3));
+      }
+      rows[i * d + r] = v;
+    }
+  }
+  return rows;
+}
+
+// Model::predict_scores (ProfileSet::best_scores through the 32-row tile)
+// against the reference loop, EXPECT_EQ on the doubles. k covers the
+// 32-lane register blocks and the 4-wide and scalar tails; n covers the
+// row tile's edges; d = 7 keeps the division inexact, so a reciprocal
+// multiply or a reordered feature sum moves some score. Integral banks
+// come from from_assignment; decayed ones are scaled and re-absorbed the
+// way the streaming learners forget, plus one StreamingMgcpl export.
+TEST(Model, PredictScoresMatchTheScoreAllReference) {
+  const std::vector<int> cardinalities = {3, 5, 2, 6, 4, 7, 3};
+  const std::size_t d = cardinalities.size();
+  constexpr std::size_t kRows = 100;
+  const std::size_t batch_sizes[] = {0, 1, 31, 32, 33, 100};
+  const int ks[] = {0, 1, 3, 4, 5, 31, 32, 33, 40, 65};
+
+  std::vector<api::Model> models;
+  for (const int k : ks) {
+    const std::vector<data::Value> fit_rows =
+        score_rows(cardinalities, 400, 500 + static_cast<std::uint64_t>(k),
+                   false);
+    const data::Dataset ds(400, d, fit_rows, cardinalities);
+    std::vector<int> labels(400, -1);
+    Rng rng(600 + static_cast<std::uint64_t>(k));
+    if (k > 0) {
+      for (int& l : labels) {
+        l = static_cast<int>(rng.below(static_cast<std::uint64_t>(k)));
+      }
+    }
+    core::ProfileSet bank = core::ProfileSet::from_assignment(ds, labels, k);
+    models.push_back(api::Model::from_profiles("integral", bank));
+    if (k == 0) continue;
+    // The streaming learners' forgetting: scale, absorb, scale again.
+    bank.scale(0.85);
+    for (std::size_t i = 0; i < 100; ++i) bank.add(labels[i], ds, i);
+    bank.scale(0.85);
+    models.push_back(api::Model::from_profiles("decayed", std::move(bank)));
+  }
+  {
+    // A real streaming export: rows near 70 prototypes, decay 0.85.
+    Rng rng(77);
+    std::vector<std::vector<data::Value>> prototypes(70);
+    for (std::vector<data::Value>& p : prototypes) {
+      for (const int card : cardinalities) {
+        p.push_back(static_cast<data::Value>(
+            rng.below(static_cast<std::uint64_t>(card))));
+      }
+    }
+    core::StreamingConfig config;
+    config.decay = 0.85;
+    config.novelty_threshold = 0.5;
+    core::StreamingMgcpl learner(cardinalities, config);
+    std::vector<data::Value> row(d);
+    for (std::size_t i = 0; i < 2000; ++i) {
+      const std::vector<data::Value>& p = prototypes[rng.below(70)];
+      for (std::size_t r = 0; r < d; ++r) {
+        row[r] = rng.bernoulli(0.8) ? p[r] : data::kMissing;
+      }
+      learner.observe(row.data());
+      if (i % 200 == 199) learner.end_chunk();
+    }
+    models.push_back(learner.to_model());
+    EXPECT_GT(models.back().k(), 4) << "the export should span a 4-lane block";
+  }
+
+  const std::vector<data::Value> rows =
+      score_rows(cardinalities, kRows, 7, true);
+  const core::simd::Level entry = core::simd::level();
+  for (const core::simd::Level level :
+       {core::simd::Level::kScalar, core::simd::Level::kAvx2}) {
+    core::simd::set_level(level);
+    for (const api::Model& model : models) {
+      std::vector<double> reference(kRows);
+      for (std::size_t i = 0; i < kRows; ++i) {
+        reference[i] =
+            reference_best_score(model.profile_bank(), rows.data() + i * d);
+      }
+      for (const std::size_t n : batch_sizes) {
+        std::vector<double> got(kRows + 1, -1.0);
+        model.predict_scores(rows.data(), n, got.data());
+        for (std::size_t i = 0; i < n; ++i) {
+          EXPECT_EQ(got[i], reference[i])
+              << model.method() << " k=" << model.k() << " n=" << n
+              << " row " << i << " at " << core::simd::level_name(level);
+        }
+        EXPECT_EQ(got[n], -1.0) << "wrote past row " << n;
+      }
+      for (std::size_t i = 0; i < kRows; ++i) {
+        double one = -1.0;
+        model.predict_scores(rows.data() + i * d, 1, &one);
+        EXPECT_EQ(model.predict_score(rows.data() + i * d), one);
+      }
+    }
+  }
+  core::simd::set_level(entry);
 }
 
 TEST(Model, PredictMatchesPredictRow) {
