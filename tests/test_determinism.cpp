@@ -47,6 +47,7 @@
 #include "core/active.h"
 #include "core/kestimate.h"
 #include "core/mgcpl.h"
+#include "core/rgcl.h"
 #include "core/streaming.h"
 #include "data/noise.h"
 #include "data/registry.h"
@@ -540,6 +541,109 @@ TEST(DetectorDeterminism, DetectorBankIsPinnedAtBothDispatchLevels) {
       << core::simd::level_name(core::simd::level()) << " kernel tables";
 #if defined(__linux__) && defined(__GLIBC__)
   EXPECT_EQ(hashes[0], 0x97948f326e6ba375ULL) << "detector bank drifted";
+#endif
+}
+
+// Learner golden: both online learners driven directly, row by row, over
+// `stream`, consolidating every 150 rows. The hash takes every returned
+// stable id; after each chunk the live count, the live ids and the bits of
+// the total mass; at the end the classify labels over `ds` and the
+// exported artifact's bytes; then, after `reset`, the ids of a replay of
+// the last 300 rows.
+template <class Learner, class Reset>
+std::uint64_t learner_hash(std::uint64_t h, Learner& learner, Reset reset,
+                           const data::Dataset& ds,
+                           const std::vector<data::Value>& stream) {
+  const std::size_t d = ds.num_features();
+  const std::size_t n = stream.size() / d;
+  std::vector<int> ids(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    ids[i] = learner.observe(&stream[i * d]);
+    if ((i + 1) % 150 == 0) {
+      learner.end_chunk();
+      h = fnv1a_u64(h, {learner.num_clusters()});
+      h = fnv1a(h, learner.cluster_ids());
+      h = fnv1a_bits(h, {learner.total_mass()});
+    }
+  }
+  h = fnv1a(h, ids);
+  h = fnv1a(h, learner.classify(ds));
+  for (const std::uint8_t byte : learner.to_model().to_binary()) {
+    h = fnv1a_u64(h, {byte});
+  }
+  reset();
+  std::vector<int> replay;
+  for (std::size_t i = n - 300; i < n; ++i) {
+    replay.push_back(learner.observe(&stream[i * d]));
+  }
+  return fnv1a(h, replay);
+}
+
+TEST(LearnerDeterminism, OnlineLearnersArePinnedAtBothDispatchLevels) {
+  data::NestedConfig table_config;
+  table_config.num_objects = 1800;
+  table_config.num_features = 10;
+  table_config.coarse_features = 6;
+  table_config.num_coarse = 4;
+  table_config.fine_per_coarse = 3;
+  table_config.cardinality = 12;
+  table_config.purity = 0.85;
+  table_config.seed = 1901;
+  const data::Dataset table = data::with_missing_cells(
+      data::nested(table_config).dataset, 0.07, 1902);
+  const std::size_t n = table.num_objects();
+  const std::size_t d = table.num_features();
+  const std::vector<int>& cards = table.cardinalities();
+  // Every 89th row is all-missing; the learners see scattered codes
+  // outside the domain too, which they must treat as missing (classify
+  // runs over the in-domain table).
+  std::vector<data::Value> cells(n * d);
+  for (std::size_t i = 0; i < n; ++i) {
+    table.gather_row(i, &cells[i * d]);
+    if (i % 89 == 0) std::fill_n(&cells[i * d], d, data::kMissing);
+  }
+  const data::Dataset ds(n, d, cells, cards);
+  std::vector<data::Value> stream = cells;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 37 == 3) {
+      stream[i * d + i % d] = cards[i % d] + static_cast<int>(i % 2);
+    }
+    if (i % 53 == 11) stream[i * d + (i + 3) % d] = -3;
+  }
+
+  struct Budget {
+    std::size_t max_clusters;
+    double decay;
+  };
+  const Budget budgets[] = {{6, 0.7}, {256, 0.9}};
+  const core::simd::Level entry = core::simd::level();
+  std::uint64_t hashes[2] = {kFnvSeed, kFnvSeed};
+  for (const core::simd::Level level :
+       {core::simd::Level::kScalar, core::simd::Level::kAvx2}) {
+    core::simd::set_level(level);
+    std::uint64_t& h = hashes[static_cast<std::size_t>(level)];
+    for (const Budget& budget : budgets) {
+      core::StreamingConfig streaming;
+      streaming.max_clusters = budget.max_clusters;
+      streaming.decay = budget.decay;
+      core::StreamingMgcpl mgcpl(cards, streaming);
+      h = learner_hash(
+          h, mgcpl, [&] { mgcpl = core::StreamingMgcpl(cards, streaming); },
+          ds, stream);
+
+      core::RgclConfig rgcl_config;
+      rgcl_config.max_clusters = budget.max_clusters;
+      rgcl_config.decay = budget.decay;
+      core::RgclLearner rgcl(cards, 23, rgcl_config);
+      h = learner_hash(h, rgcl, [&] { rgcl.reset(); }, ds, stream);
+    }
+  }
+  core::simd::set_level(entry);
+  EXPECT_EQ(hashes[1], hashes[0])
+      << "online learners diverged between the scalar and "
+      << core::simd::level_name(core::simd::level()) << " kernel tables";
+#if defined(__linux__) && defined(__GLIBC__)
+  EXPECT_EQ(hashes[0], 0xdca25c6ba197106fULL) << "online learners drifted";
 #endif
 }
 
