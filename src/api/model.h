@@ -48,8 +48,8 @@ class Model {
                         std::vector<double> theta = {}, bool refine = true);
 
   // Builds a model directly from a histogram bank — the snapshot boundary
-  // the online learners export through (StreamingMgcpl::to_model,
-  // RgclLearner::to_model). The bank's counts, non-null totals and sizes
+  // the online learners export through (core::OnlineLearner::to_model,
+  // shared by both). The bank's counts, non-null totals and sizes
   // are kept verbatim (decayed fractional values included), and its schema
   // is the model's. A k = 0 bank gives a valid k = 0 model, which predicts
   // -1 for every row (the classify() contract of an empty learner) and

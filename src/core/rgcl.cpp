@@ -1,8 +1,8 @@
 #include "core/rgcl.h"
 
 #include <algorithm>
-#include <numeric>
 #include <stdexcept>
+#include <utility>
 
 #include "common/thread_pool.h"
 #include "core/competitive.h"
@@ -35,69 +35,16 @@ double clamp01(double x) { return x < 0.0 ? 0.0 : (x > 1.0 ? 1.0 : x); }
 }  // namespace
 
 RgclLearner::RgclLearner(std::vector<int> cardinalities, std::uint64_t seed,
-                         const RgclConfig& config)
-    : cardinalities_(std::move(cardinalities)),
+                         const RgclConfig& config,
+                         std::vector<std::vector<std::string>> values)
+    : OnlineLearner("mcdc-online", std::move(cardinalities),
+                    config.initial_delta, config.decay, config.max_clusters,
+                    std::move(values)),
       seed_(seed),
-      config_(config),
-      set_(cardinalities_, 0) {
-  if (cardinalities_.empty()) {
-    throw std::invalid_argument("RgclLearner: empty schema");
-  }
-  if (config_.decay <= 0.0 || config_.decay > 1.0) {
-    throw std::invalid_argument("RgclLearner: decay must be in (0, 1]");
-  }
-  if (config_.max_clusters == 0) {
-    throw std::invalid_argument("RgclLearner: max_clusters must be >= 1");
-  }
+      config_(config) {
   if (config_.epochs < 1) {
-    throw std::invalid_argument("RgclLearner: epochs must be >= 1");
+    throw std::invalid_argument("mcdc-online: epochs must be >= 1");
   }
-}
-
-int RgclLearner::slot_of(int id) const {
-  for (std::size_t l = 0; l < ids_.size(); ++l) {
-    if (ids_[l] == id) return static_cast<int>(l);
-  }
-  return -1;
-}
-
-int RgclLearner::strongest_slot(int exclude) const {
-  int best = -1;
-  double best_score = -1.0;
-  for (std::size_t l = 0; l < ids_.size(); ++l) {
-    if (static_cast<int>(l) == exclude) continue;
-    const double score = cluster_weight_sigmoid(delta_[l]) * scores_[l];
-    if (score > best_score) {
-      best_score = score;
-      best = static_cast<int>(l);
-    }
-  }
-  return best;
-}
-
-int RgclLearner::spawn(const data::Value* row) {
-  int slot;
-  if (ids_.size() >= config_.max_clusters) {
-    // Same in-place eviction as StreamingMgcpl: the weakest (lowest-mass)
-    // cluster's slot is zeroed and re-aimed at a fresh stable id.
-    std::size_t weakest = 0;
-    for (std::size_t l = 1; l < ids_.size(); ++l) {
-      if (mass_[l] < mass_[weakest]) weakest = l;
-    }
-    slot = static_cast<int>(weakest);
-    set_.clear_cluster(slot);
-    ids_[weakest] = next_id_++;
-  } else {
-    slot = set_.append_cluster();
-    mass_.push_back(0.0);
-    delta_.push_back(0.0);
-    ids_.push_back(next_id_++);
-  }
-  set_.add(slot, row);
-  const auto lu = static_cast<std::size_t>(slot);
-  mass_[lu] = 1.0;
-  delta_[lu] = config_.initial_delta;
-  return slot;
 }
 
 void RgclLearner::reinforce(int winner, double draw) {
@@ -105,7 +52,8 @@ void RgclLearner::reinforce(int winner, double draw) {
   const double s_v = scores_[vu];
   if (!config_.reinforcement || draw < clamp01(s_v)) {
     delta_[vu] += config_.eta * (1.0 - s_v);
-    const int h = strongest_slot(winner);
+    // No win counts: rho is 0 and the scan ranks by u * s.
+    const int h = strongest_slot(winner, 0.0);
     if (h >= 0) {
       delta_[static_cast<std::size_t>(h)] -=
           config_.eta * scores_[static_cast<std::size_t>(h)];
@@ -120,7 +68,7 @@ int RgclLearner::observe(const data::Value* row) {
   set_.score_all(row, scores_.data());
 
   ++rows_seen_;
-  const int v = strongest_slot(-1);
+  const int v = strongest_slot(-1, 0.0);
   const double win_sim = v >= 0 ? scores_[static_cast<std::size_t>(v)] : 0.0;
   if (v < 0 || win_sim < config_.novelty_threshold) {
     return ids_[static_cast<std::size_t>(spawn(row))];
@@ -137,97 +85,6 @@ int RgclLearner::observe(const data::Value* row) {
   h = fnv_bytes(h, row, cardinalities_.size() * sizeof(data::Value));
   reinforce(v, uniform_from_hash(h));
   return ids_[static_cast<std::size_t>(v)];
-}
-
-std::vector<int> RgclLearner::observe_chunk(const data::DatasetView& chunk) {
-  if (chunk.num_features() != cardinalities_.size()) {
-    throw std::invalid_argument("RgclLearner: chunk schema mismatch");
-  }
-  std::vector<int> assigned(chunk.num_objects());
-  std::vector<data::Value> row(cardinalities_.size());
-  for (std::size_t i = 0; i < chunk.num_objects(); ++i) {
-    chunk.gather_row(i, row.data());
-    assigned[i] = observe(row.data());
-  }
-  end_chunk();
-  return assigned;
-}
-
-void RgclLearner::end_chunk() {
-  if (config_.decay < 1.0) {
-    set_.scale(config_.decay);
-    for (double& m : mass_) m *= config_.decay;
-  }
-  // Prune starved clusters (the StreamingMgcpl thresholds: mass below one
-  // standing object under decay, or u driven to zero by penalisation).
-  std::vector<char> dead(ids_.size(), 0);
-  bool any = false;
-  for (std::size_t l = 0; l < ids_.size(); ++l) {
-    if (mass_[l] < 1.5 || cluster_weight_sigmoid(delta_[l]) < 1e-3) {
-      dead[l] = 1;
-      any = true;
-    }
-  }
-  if (any) {
-    set_.remove_clusters(dead);
-    std::size_t live = 0;
-    for (std::size_t l = 0; l < ids_.size(); ++l) {
-      if (dead[l]) continue;
-      mass_[live] = mass_[l];
-      delta_[live] = delta_[l];
-      ids_[live] = ids_[l];
-      ++live;
-    }
-    mass_.resize(live);
-    delta_.resize(live);
-    ids_.resize(live);
-  }
-  for (double& delta : delta_) delta = std::max(delta, config_.initial_delta);
-}
-
-std::vector<int> RgclLearner::classify(const data::DatasetView& ds) const {
-  if (ds.num_features() != cardinalities_.size()) {
-    throw std::invalid_argument("RgclLearner: dataset schema mismatch");
-  }
-  std::vector<int> labels(ds.num_objects(), -1);
-  if (ids_.empty()) return labels;
-  set_.freeze();
-  parallel_chunks(ds.num_objects(), 1024,
-                  [&](std::size_t lo, std::size_t hi) {
-                    std::vector<int> slots(hi - lo);
-                    set_.best_clusters(ds, lo, hi, slots.data());
-                    for (std::size_t i = lo; i < hi; ++i) {
-                      labels[i] =
-                          ids_[static_cast<std::size_t>(slots[i - lo])];
-                    }
-                  });
-  return labels;
-}
-
-api::Model RgclLearner::to_model(
-    std::vector<std::vector<std::string>> values) const {
-  std::vector<int> order(ids_.size());
-  std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(),
-            [&](int a, int b) { return ids_[a] < ids_[b]; });
-  return api::Model::from_profiles("mcdc-online", set_.select(order),
-                                   std::move(values));
-}
-
-void RgclLearner::reset() {
-  set_ = ProfileSet(cardinalities_, 0);
-  mass_.clear();
-  delta_.clear();
-  ids_.clear();
-  next_id_ = 0;
-  rows_seen_ = 0;
-  scores_.clear();
-}
-
-double RgclLearner::total_mass() const {
-  double total = 0.0;
-  for (const double m : mass_) total += m;
-  return total;
 }
 
 baselines::ClusterResult RgclLearner::cluster(const data::DatasetView& ds,

@@ -21,11 +21,11 @@
 //
 // Two modes share the update rule:
 //
-//  - streaming: RgclLearner mirrors StreamingMgcpl (observe / end_chunk /
-//    classify / to_model, stable spawn ids, novelty spawning, weakest-mass
-//    eviction, decay + starved-cluster pruning at consolidation) so the
-//    serve::OnlineUpdater drives either learner through one adapter. The
-//    same single-writer thread contract applies.
+//  - streaming: RgclLearner is a core::OnlineLearner — the live-cluster
+//    pool StreamingMgcpl uses too (stable spawn ids, novelty spawning,
+//    weakest-mass eviction, decay + starved-cluster pruning at
+//    end_chunk, classify, to_model) — with this per-row rule as its
+//    observe(). The same single-writer thread contract applies.
 //
 //  - batch: cluster() backs the "mcdc-online" registry method. Clusters
 //    are density-seeded (data/seeding.h), then `epochs` sequential passes
@@ -38,12 +38,11 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <string>
 #include <vector>
 
-#include "api/model.h"
 #include "baselines/clusterer.h"
-#include "core/profile_set.h"
-#include "data/dataset.h"
+#include "core/online_learner.h"
 #include "data/view.h"
 
 namespace mcdc::core {
@@ -58,44 +57,25 @@ struct RgclConfig {
   bool reinforcement = true;
   // Batch mode: passes over the rows.
   int epochs = 4;
-  // Streaming mode (same semantics as StreamingConfig).
+  // Streaming mode (same semantics as StreamingConfig; max_clusters >= 2).
   double decay = 1.0;
   double novelty_threshold = 0.15;
   std::size_t max_clusters = 256;
 };
 
-class RgclLearner {
+class RgclLearner final : public OnlineLearner {
  public:
   // The schema must be fixed up front; `seed` keys the Bernoulli draws.
+  // `values` optionally carries the per-feature dictionaries threaded
+  // into every exported snapshot.
   RgclLearner(std::vector<int> cardinalities, std::uint64_t seed = 1,
-              const RgclConfig& config = {});
+              const RgclConfig& config = {},
+              std::vector<std::vector<std::string>> values = {});
 
-  // Processes one object; returns the stable id of the cluster it joined
-  // (ids retire on eviction/pruning, they are never re-aimed — the
-  // StreamingMgcpl contract).
-  int observe(const data::Value* row);
-  // observe() over every row, then end_chunk(). Per-row stable ids.
-  std::vector<int> observe_chunk(const data::DatasetView& chunk);
-  // End-of-chunk consolidation: decay, prune starved clusters, floor the
-  // deltas back to initial_delta.
-  void end_chunk();
-
-  // Frozen assignment to the live clusters (stable ids; -1 on an empty
-  // learner), without learning.
-  std::vector<int> classify(const data::DatasetView& ds) const;
-
-  // Snapshot boundary, identical contract to StreamingMgcpl::to_model:
-  // model cluster j = j-th smallest live stable id; an empty learner
-  // exports a valid k = 0 model.
-  api::Model to_model(std::vector<std::vector<std::string>> values = {}) const;
-
-  // Drops every cluster and all competition state; the draw sequence
-  // restarts too, so reset + replay reproduces a fresh learner exactly.
-  void reset();
-
-  std::size_t num_clusters() const { return ids_.size(); }
-  const std::vector<int>& cluster_ids() const { return ids_; }
-  double total_mass() const;
+  // One reinforcement-guided update: the winner by u * s absorbs the row,
+  // then a Bernoulli trial keyed on (seed, arrival index, row content)
+  // rewards or punishes it; a row no live cluster explains spawns one.
+  int observe(const data::Value* row) override;
 
   // Batch entry point of the "mcdc-online" registry method: density
   // seeding, `config.epochs` canonical-order reinforcement passes over the
@@ -106,25 +86,12 @@ class RgclLearner {
                                           const RgclConfig& config = {});
 
  private:
-  int slot_of(int id) const;
-  // Winner slot by u * s over scores_ (already filled); `exclude` skips
-  // the winner during the rival scan. Ties resolve to the lowest slot.
-  int strongest_slot(int exclude) const;
-  int spawn(const data::Value* row);
   // One winner-reward/rival-penalty delta update for a row the winner
   // already absorbed; `draw` is the Bernoulli uniform in [0, 1).
   void reinforce(int winner, double draw);
 
-  std::vector<int> cardinalities_;
   std::uint64_t seed_ = 1;
   RgclConfig config_;
-  ProfileSet set_;
-  std::vector<double> mass_;
-  std::vector<double> delta_;
-  std::vector<int> ids_;
-  int next_id_ = 0;
-  std::uint64_t rows_seen_ = 0;  // folds into the streaming draws
-  mutable std::vector<double> scores_;
 };
 
 }  // namespace mcdc::core

@@ -5,6 +5,8 @@
 #include <string>
 #include <utility>
 
+#include "core/rgcl.h"
+
 namespace mcdc::serve {
 
 namespace {
@@ -13,78 +15,19 @@ namespace {
 // evidence reports (most recent entries win).
 constexpr std::size_t kTraceCapacity = 512;
 
-// Adapter over StreamingMgcpl (the default learner: the paper's
-// incremental MGCPL with closed-form winner/rival updates).
-class StreamingLearner final : public OnlineLearner {
- public:
-  StreamingLearner(std::vector<int> cardinalities,
-                   std::vector<std::vector<std::string>> values,
-                   const core::StreamingConfig& config)
-      : cardinalities_(std::move(cardinalities)),
-        values_(std::move(values)),
-        config_(config),
-        learner_(cardinalities_, config_) {}
-
-  int observe(const data::Value* row) override {
-    return learner_.observe(row);
-  }
-  void end_chunk() override { learner_.end_chunk(); }
-  api::Model to_model() const override { return learner_.to_model(values_); }
-  void reset() override {
-    learner_ = core::StreamingMgcpl(cardinalities_, config_);
-  }
-  std::size_t num_clusters() const override {
-    return learner_.num_clusters();
-  }
-  std::size_t num_features() const override { return cardinalities_.size(); }
-
- private:
-  std::vector<int> cardinalities_;
-  std::vector<std::vector<std::string>> values_;
-  core::StreamingConfig config_;
-  core::StreamingMgcpl learner_;
-};
-
-// Adapter over RgclLearner (the "mcdc-online" registry method run in its
-// streaming mode).
-class RgclOnlineLearner final : public OnlineLearner {
- public:
-  RgclOnlineLearner(std::vector<int> cardinalities,
-                    std::vector<std::vector<std::string>> values,
-                    std::uint64_t seed, const core::RgclConfig& config)
-      : cardinalities_(std::move(cardinalities)),
-        values_(std::move(values)),
-        learner_(cardinalities_, seed, config) {}
-
-  int observe(const data::Value* row) override {
-    return learner_.observe(row);
-  }
-  void end_chunk() override { learner_.end_chunk(); }
-  api::Model to_model() const override { return learner_.to_model(values_); }
-  void reset() override { learner_.reset(); }
-  std::size_t num_clusters() const override {
-    return learner_.num_clusters();
-  }
-  std::size_t num_features() const override { return cardinalities_.size(); }
-
- private:
-  std::vector<int> cardinalities_;
-  std::vector<std::vector<std::string>> values_;
-  core::RgclLearner learner_;
-};
-
 }  // namespace
 
 std::unique_ptr<OnlineLearner> make_online_learner(
     const OnlineConfig& config, std::vector<int> cardinalities,
     std::vector<std::vector<std::string>> values) {
   if (config.learner == "streaming") {
-    return std::make_unique<StreamingLearner>(
-        std::move(cardinalities), std::move(values), config.streaming);
+    return std::make_unique<core::StreamingMgcpl>(
+        std::move(cardinalities), config.streaming, std::move(values));
   }
   if (config.learner == "mcdc-online") {
-    return std::make_unique<RgclOnlineLearner>(
-        std::move(cardinalities), std::move(values), config.seed, config.rgcl);
+    return std::make_unique<core::RgclLearner>(
+        std::move(cardinalities), config.seed, core::RgclConfig{},
+        std::move(values));
   }
   throw std::invalid_argument("online learner: unknown kind \"" +
                               config.learner +

@@ -85,32 +85,16 @@
 
 #include "api/model.h"
 #include "api/report.h"
-#include "core/rgcl.h"
+#include "core/online_learner.h"
 #include "core/streaming.h"
 #include "serve/drift.h"
 #include "serve/server.h"
 
 namespace mcdc::serve {
 
-// The learner side of the pipeline: anything that can absorb rows and
-// export a servable snapshot. Implementations follow the single-writer
-// contract of the streaming learners they wrap.
-class OnlineLearner {
- public:
-  virtual ~OnlineLearner() = default;
-  // Absorbs one row (in the learner's own encoding); returns the stable
-  // cluster id it joined.
-  virtual int observe(const data::Value* row) = 0;
-  // End-of-cadence consolidation (decay, pruning) — the updater calls
-  // this once per tick.
-  virtual void end_chunk() = 0;
-  // Exports the live clusters as a servable model (k = 0 when empty).
-  virtual api::Model to_model() const = 0;
-  // Drops all learned state (the refit-from-window reset).
-  virtual void reset() = 0;
-  virtual std::size_t num_clusters() const = 0;
-  virtual std::size_t num_features() const = 0;
-};
+// The learner side of the pipeline: the live-cluster pool both online
+// learners share (core/online_learner.h).
+using OnlineLearner = core::OnlineLearner;
 
 struct OnlineConfig {
   // Which learner backs the loop: "streaming" (StreamingMgcpl) or
@@ -137,14 +121,16 @@ struct OnlineConfig {
   // trigger_k of them fire on one tick (clamped to the voting count;
   // 1 = any-of, voting count = all-of).
   std::size_t trigger_k = 1;
-  core::StreamingConfig streaming;  // knobs for the "streaming" learner
-  core::RgclConfig rgcl;            // knobs for the "mcdc-online" learner
-  ServeConfig serve;                // Engine::serve_online's server config
+  // Knobs for the "streaming" learner; "mcdc-online" runs the
+  // core::RgclConfig defaults.
+  core::StreamingConfig streaming;
+  ServeConfig serve;  // Engine::serve_online's server config
 };
 
-// Builds the configured learner over a schema (and optional per-feature
-// dictionaries threaded into every exported snapshot). Throws
-// std::invalid_argument on an unknown learner kind.
+// Builds the configured learner (a core::StreamingMgcpl or a
+// core::RgclLearner) over a schema and optional per-feature dictionaries
+// threaded into every exported snapshot. Throws std::invalid_argument on
+// an unknown learner kind.
 std::unique_ptr<OnlineLearner> make_online_learner(
     const OnlineConfig& config, std::vector<int> cardinalities,
     std::vector<std::vector<std::string>> values = {});

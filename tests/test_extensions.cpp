@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <vector>
 
 #include "baselines/linkage.h"
+#include "common/rng.h"
+#include "core/rgcl.h"
 #include "core/streaming.h"
 #include "data/synthetic.h"
 #include "dist/distributed_mcdc.h"
@@ -183,6 +186,73 @@ TEST(StreamingMgcpl, ClassifyReturnsLiveStableIds) {
   const auto& ids = learner.cluster_ids();
   const std::set<int> live(ids.begin(), ids.end());
   for (int l : labels) EXPECT_TRUE(live.count(l) > 0);
+}
+
+// --- Both online learners: the max_clusters budget ---------------------------
+
+TEST(OnlineLearners, BudgetBelowTwoIsRejected) {
+  for (const std::size_t budget : {0u, 1u}) {
+    core::StreamingConfig streaming;
+    streaming.max_clusters = budget;
+    EXPECT_THROW(core::StreamingMgcpl({6, 6}, streaming),
+                 std::invalid_argument);
+    core::RgclConfig rgcl;
+    rgcl.max_clusters = budget;
+    EXPECT_THROW(core::RgclLearner({6, 6}, 1, rgcl), std::invalid_argument);
+  }
+}
+
+// Rows near 70 prototypes over 8 features of cardinality 6: each cell
+// keeps its prototype's value with probability 0.8.
+std::vector<data::Value> prototype_stream(std::size_t n, std::uint64_t seed) {
+  constexpr std::size_t kFeatures = 8;
+  constexpr std::uint64_t kPrototypes = 70;
+  constexpr std::uint64_t kCardinality = 6;
+  Rng rng(seed);
+  std::vector<data::Value> prototypes(kPrototypes * kFeatures);
+  for (data::Value& v : prototypes) {
+    v = static_cast<data::Value>(rng.below(kCardinality));
+  }
+  std::vector<data::Value> rows(n * kFeatures);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t p = rng.below(kPrototypes);
+    for (std::size_t r = 0; r < kFeatures; ++r) {
+      rows[i * kFeatures + r] =
+          rng.bernoulli(0.8) ? prototypes[p * kFeatures + r]
+                             : static_cast<data::Value>(rng.below(kCardinality));
+    }
+  }
+  return rows;
+}
+
+// Regression: a budget of 1 used to be accepted, and on this stream both
+// learners then exported k = 0 — every novel row evicted the only
+// cluster, whose newcomer's mass of 1 fell under the 1.5 prune bar. At the
+// smallest budget now accepted, a cluster survives every consolidation.
+TEST(OnlineLearners, SmallestBudgetKeepsALiveCluster) {
+  const std::vector<int> cards(8, 6);
+  const std::vector<data::Value> rows = prototype_stream(2000, 5);
+  for (const double novelty : {0.2, 0.3, 0.4, 0.5}) {
+    SCOPED_TRACE(testing::Message() << "novelty " << novelty);
+    core::StreamingConfig streaming;
+    streaming.max_clusters = 2;
+    streaming.decay = 0.85;
+    streaming.novelty_threshold = novelty;
+    core::StreamingMgcpl mgcpl(cards, streaming);
+    core::RgclConfig rgcl_config;
+    rgcl_config.max_clusters = 2;
+    rgcl_config.decay = 0.85;
+    rgcl_config.novelty_threshold = novelty;
+    core::RgclLearner rgcl(cards, 1, rgcl_config);
+    const std::vector<core::OnlineLearner*> learners = {&mgcpl, &rgcl};
+    for (core::OnlineLearner* learner : learners) {
+      for (std::size_t i = 0; i < 2000; ++i) {
+        learner->observe(&rows[i * cards.size()]);
+        if ((i + 1) % 200 == 0) learner->end_chunk();
+      }
+      EXPECT_GE(learner->to_model().k(), 1) << learner->to_model().method();
+    }
+  }
 }
 
 // --- DistributedMcdc ---------------------------------------------------------------
