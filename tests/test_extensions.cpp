@@ -209,17 +209,17 @@ std::vector<data::Value> prototype_stream(std::size_t n, std::uint64_t seed) {
   constexpr std::uint64_t kPrototypes = 70;
   constexpr std::uint64_t kCardinality = 6;
   Rng rng(seed);
+  const auto value = [&] {
+    return static_cast<data::Value>(rng.below(kCardinality));
+  };
   std::vector<data::Value> prototypes(kPrototypes * kFeatures);
-  for (data::Value& v : prototypes) {
-    v = static_cast<data::Value>(rng.below(kCardinality));
-  }
+  for (data::Value& v : prototypes) v = value();
   std::vector<data::Value> rows(n * kFeatures);
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t p = rng.below(kPrototypes);
     for (std::size_t r = 0; r < kFeatures; ++r) {
       rows[i * kFeatures + r] =
-          rng.bernoulli(0.8) ? prototypes[p * kFeatures + r]
-                             : static_cast<data::Value>(rng.below(kCardinality));
+          rng.bernoulli(0.8) ? prototypes[p * kFeatures + r] : value();
     }
   }
   return rows;
