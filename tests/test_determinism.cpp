@@ -22,7 +22,9 @@
 //
 // Scores are pinned too: the IEEE-754 bit patterns of every internal and
 // external index and every estimate_k candidate silhouette, at each SIMD
-// dispatch level (the silhouette sweep runs through the kernel table).
+// dispatch level (the silhouette sweep runs through the kernel table), and
+// of every anomaly score and query uncertainty on an identity and on an
+// indirect view.
 //
 // The width-1 results are additionally pinned as FNV-1a goldens (the same
 // hash and guard as the 18-method table in test_profile_set.cpp): a moved
@@ -45,6 +47,7 @@
 #include "common/thread_pool.h"
 #include "core/simd.h"
 #include "core/active.h"
+#include "core/anomaly.h"
 #include "core/kestimate.h"
 #include "core/mgcpl.h"
 #include "core/rgcl.h"
@@ -644,6 +647,65 @@ TEST(LearnerDeterminism, OnlineLearnersArePinnedAtBothDispatchLevels) {
       << core::simd::level_name(core::simd::level()) << " kernel tables";
 #if defined(__linux__) && defined(__GLIBC__)
   EXPECT_EQ(hashes[0], 0xdca25c6ba197106fULL) << "online learners drifted";
+#endif
+}
+
+// Row-op golden: the two consumers of ProfileSet's per-row scorers that no
+// registry method reaches, hashed bit for bit — score_anomalies (score_one:
+// the bits of every score, then the ranking) and select_queries (score_all
+// margins: the bits of every uncertainty, then the queries). One MGCPL
+// analysis per view feeds both.
+std::uint64_t row_op_hash(std::uint64_t h, const data::DatasetView& view) {
+  const core::MgcplResult mgcpl = core::Mgcpl().run(view, 17);
+  EXPECT_GE(mgcpl.kappa.front(), 2) << "no margins to score";
+  const core::AnomalyResult anomalies = core::score_anomalies(view, mgcpl);
+  for (const double score : anomalies.scores) h = fnv1a_bits(h, {score});
+  for (const std::size_t i : anomalies.ranking) h = fnv1a_u64(h, {i});
+  core::QuerySelectionConfig config;
+  config.budget = 40;
+  const core::QuerySelection selection =
+      core::select_queries(view, mgcpl, config);
+  for (const double u : selection.uncertainty) h = fnv1a_bits(h, {u});
+  for (const std::size_t q : selection.queries) h = fnv1a_u64(h, {q});
+  return h;
+}
+
+TEST(RowOpDeterminism, AnomalyScoresAndQueryMarginsArePinnedAtBothDispatchLevels) {
+  data::NestedConfig config;
+  config.num_objects = 900;
+  config.num_features = 10;
+  config.coarse_features = 6;
+  config.num_coarse = 4;
+  config.fine_per_coarse = 3;
+  config.cardinality = 12;
+  config.purity = 0.85;
+  config.seed = 2001;
+  const data::Dataset ds =
+      data::with_missing_cells(data::nested(config).dataset, 0.06, 2002);
+  ASSERT_TRUE(ds.has_missing());
+  // The indirect view visits every row once in a shuffled order (389 is
+  // coprime to n), then the first third of that order a second time.
+  const std::size_t n = ds.num_objects();
+  std::vector<std::size_t> rows(n + n / 3);
+  for (std::size_t j = 0; j < rows.size(); ++j) rows[j] = (j * 389 + 7) % n;
+  const data::DatasetView shuffled(ds, rows);
+
+  const core::simd::Level entry = core::simd::level();
+  std::uint64_t hashes[2] = {kFnvSeed, kFnvSeed};
+  for (const core::simd::Level level :
+       {core::simd::Level::kScalar, core::simd::Level::kAvx2}) {
+    core::simd::set_level(level);
+    std::uint64_t& h = hashes[static_cast<std::size_t>(level)];
+    h = row_op_hash(h, ds);
+    h = row_op_hash(h, shuffled);
+  }
+  core::simd::set_level(entry);
+  EXPECT_EQ(hashes[1], hashes[0])
+      << "anomaly scores or query margins diverged between the scalar and "
+      << core::simd::level_name(core::simd::level()) << " kernel tables";
+#if defined(__linux__) && defined(__GLIBC__)
+  EXPECT_EQ(hashes[0], 0xef277c518aa69b22ULL)
+      << "anomaly scores or query margins drifted";
 #endif
 }
 
