@@ -59,7 +59,7 @@ double time_flat(const data::Dataset& ds, const core::ProfileSet& set,
   std::vector<double> scratch;
   for (int rep = 0; rep < repeats; ++rep) {
     for (std::size_t i = 0; i < n; ++i) {
-      labels[i] = set.best_cluster(ds, i, scratch);
+      labels[i] = set.best_cluster(ds.row(i), scratch);
     }
   }
   return timer.elapsed_seconds();

@@ -31,7 +31,7 @@ const data::Dataset& bench_data() {
 // or Eq. (14) evaluation and one O(d) membership update.
 core::ProfileSet one_cluster(const data::Dataset& ds, std::size_t members) {
   core::ProfileSet profile(ds.cardinalities(), 1);
-  for (std::size_t i = 0; i < members; ++i) profile.add(0, ds, i);
+  for (std::size_t i = 0; i < members; ++i) profile.add(0, ds.row(i));
   return profile;
 }
 
@@ -40,7 +40,7 @@ void BM_SimilarityEq1(benchmark::State& state) {
   const core::ProfileSet profile = one_cluster(ds, 1000);
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(profile.score_one(0, ds, i));
+    benchmark::DoNotOptimize(profile.score_one(0, ds.row(i)));
     i = (i + 1) % ds.num_objects();
   }
 }
@@ -53,7 +53,8 @@ void BM_WeightedSimilarityEq14(benchmark::State& state) {
                                     1.0 / static_cast<double>(ds.num_features()));
   std::size_t i = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(profile.weighted_score_one(0, ds, i, weights));
+    benchmark::DoNotOptimize(
+        profile.weighted_score_one(0, ds.row(i), weights));
     i = (i + 1) % ds.num_objects();
   }
 }
@@ -64,8 +65,8 @@ void BM_ProfileAddRemove(benchmark::State& state) {
   core::ProfileSet profile = one_cluster(ds, 1);
   std::size_t i = 1;
   for (auto _ : state) {
-    profile.add(0, ds, i);
-    profile.remove(0, ds, i);
+    profile.add(0, ds.row(i));
+    profile.remove(0, ds.row(i));
     i = (i + 1) % ds.num_objects();
     if (i == 0) i = 1;
   }

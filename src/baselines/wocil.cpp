@@ -111,7 +111,7 @@ ClusterResult Wocil::cluster(const data::DatasetView& ds, int k,
   ProfileSet profiles(ds.cardinalities(), k);
   const auto seeds = stable_seeds(ds, k);
   for (std::size_t l = 0; l < seeds.size(); ++l) {
-    profiles.add(static_cast<int>(l), ds, seeds[l]);
+    profiles.add(static_cast<int>(l), ds.row(seeds[l]));
     labels[seeds[l]] = static_cast<int>(l);
   }
   // Feature-major weight bank, weights[r * k + l] = w_rl — the layout
@@ -126,13 +126,14 @@ ClusterResult Wocil::cluster(const data::DatasetView& ds, int k,
     for (std::size_t i = 0; i < n; ++i) {
       // Live scores (the sweep moves objects as it goes); ties go to the
       // lowest cluster id.
-      profiles.weighted_score_all(ds, i, weights.data(), scores.data());
+      const data::RowRef row = ds.row(i);
+      profiles.weighted_score_all(row, weights.data(), scores.data());
       const int best = core::simd::kernels().argmax(scores.data(), ku);
       if (labels[i] != best) {
         if (labels[i] >= 0) {
-          profiles.move(labels[i], best, ds, i);
+          profiles.move(labels[i], best, row);
         } else {
-          profiles.add(best, ds, i);
+          profiles.add(best, row);
         }
         labels[i] = best;
         changed = true;

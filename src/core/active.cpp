@@ -55,7 +55,7 @@ QuerySelection select_queries(const data::DatasetView& ds,
     parallel_chunks(n, 1024, [&](std::size_t lo, std::size_t hi) {
       std::vector<double> scores(static_cast<std::size_t>(k_fine));
       for (std::size_t i = lo; i < hi; ++i) {
-        profiles.score_all(ds, i, scores.data());
+        profiles.score_all(ds.row(i), scores.data());
         double best = -1.0;
         double second = -1.0;
         for (int l = 0; l < k_fine; ++l) {

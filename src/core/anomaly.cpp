@@ -64,7 +64,7 @@ AnomalyResult score_anomalies(const data::DatasetView& ds,
   const double w = config.rarity_weight;
   for (std::size_t i = 0; i < n; ++i) {
     const int l = labels[i];
-    const double eccentricity = 1.0 - bank.score_one(l, ds, i);
+    const double eccentricity = 1.0 - bank.score_one(l, ds.row(i));
     out.scores[i] =
         w * rarity[static_cast<std::size_t>(l)] + (1.0 - w) * eccentricity;
   }

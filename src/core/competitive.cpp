@@ -33,7 +33,7 @@ CompetitiveStage::CompetitiveStage(const data::DatasetView& ds,
     if (assignment_[i] != -1) {
       throw std::invalid_argument("CompetitiveStage: duplicate seed row");
     }
-    set_.add(static_cast<int>(l), ds, i);
+    set_.add(static_cast<int>(l), ds.row(i));
     assignment_[i] = static_cast<int>(l);
   }
   omega_.assign(k, std::vector<double>(ds.num_features(),
@@ -64,14 +64,15 @@ int CompetitiveStage::run() {
     bool changed = false;
 
     for (std::size_t i = 0; i < n; ++i) {
+      const data::RowRef row = ds_.row(i);
       const auto k = static_cast<std::size_t>(set_.num_clusters());
       if (k == 1) {
         // A lone cluster trivially wins every object.
         if (assignment_[i] != 0) {
           if (assignment_[i] >= 0) {
-            set_.move(assignment_[i], 0, ds_, i);
+            set_.move(assignment_[i], 0, row);
           } else {
-            set_.add(0, ds_, i);
+            set_.add(0, row);
           }
           assignment_[i] = 0;
           changed = true;
@@ -92,7 +93,7 @@ int CompetitiveStage::run() {
       // This reproduces the classic single-pass top-2 scan exactly,
       // including its lowest-id tie resolution, keeping runs reproducible.
       scores_.resize(k);
-      set_.weighted_score_all(ds_, i, wt_.data(), scores_.data());
+      set_.weighted_score_all(row, wt_.data(), scores_.data());
       for (std::size_t l = 0; l < k; ++l) {
         // Eq. (7); under cumulative_rho g_prev_ mirrors the
         // stage-cumulative counts, otherwise it holds the previous sweep's
@@ -109,9 +110,9 @@ int CompetitiveStage::run() {
       const int old = assignment_[i];
       if (old != static_cast<int>(v)) {
         if (old >= 0) {
-          set_.move(old, static_cast<int>(v), ds_, i);
+          set_.move(old, static_cast<int>(v), row);
         } else {
-          set_.add(static_cast<int>(v), ds_, i);
+          set_.add(static_cast<int>(v), row);
         }
         assignment_[i] = static_cast<int>(v);
         changed = true;
@@ -126,10 +127,8 @@ int CompetitiveStage::run() {
         // (and a moved-from rival's) histogram just changed.
         const double penalty_sim =
             config_.penalty_uses_winner_similarity
-                ? set_.weighted_score_one(static_cast<int>(v), ds_, i,
-                                          omega_[v])
-                : set_.weighted_score_one(static_cast<int>(h), ds_, i,
-                                          omega_[h]);
+                ? set_.weighted_score_one(static_cast<int>(v), row, omega_[v])
+                : set_.weighted_score_one(static_cast<int>(h), row, omega_[h]);
         delta_[h] -= config_.eta * penalty_sim;
         u_[v] = cluster_weight_sigmoid(delta_[v]);
         u_[h] = cluster_weight_sigmoid(delta_[h]);

@@ -156,33 +156,26 @@ baselines::ClusterResult mcdc_v1(const data::DatasetView& ds, int k,
   const auto seeds =
       rng.sample_without_replacement(n, static_cast<std::size_t>(k));
   for (std::size_t l = 0; l < seeds.size(); ++l) {
-    profiles.add(static_cast<int>(l), ds, seeds[l]);
+    profiles.add(static_cast<int>(l), ds.row(seeds[l]));
     assignment[seeds[l]] = static_cast<int>(l);
   }
 
   // Alternating maximisation of the overall intra-cluster similarity with
   // the Sec. II-A object-cluster measure: each object is batch-scored
   // against all k clusters in one flat sweep and moves to its most similar
-  // one; histograms update online (so the sweep stays sequential).
+  // one (the lowest id on ties); histograms update online (so the sweep
+  // stays sequential).
   std::vector<double> scores(static_cast<std::size_t>(k));
   for (int pass = 0; pass < max_passes; ++pass) {
     bool changed = false;
     for (std::size_t i = 0; i < n; ++i) {
-      profiles.score_all(ds, i, scores.data());
-      int best = 0;
-      double best_sim = -1.0;
-      for (int l = 0; l < k; ++l) {
-        const double s = scores[static_cast<std::size_t>(l)];
-        if (s > best_sim) {
-          best_sim = s;
-          best = l;
-        }
-      }
+      const data::RowRef row = ds.row(i);
+      const int best = profiles.best_cluster(row, scores);
       if (assignment[i] != best) {
         if (assignment[i] >= 0) {
-          profiles.move(assignment[i], best, ds, i);
+          profiles.move(assignment[i], best, row);
         } else {
-          profiles.add(best, ds, i);
+          profiles.add(best, row);
         }
         assignment[i] = best;
         changed = true;

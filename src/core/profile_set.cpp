@@ -182,7 +182,7 @@ double ProfileSet::value_similarity(int l, std::size_t r, data::Value v) const {
   return count(l, r, v) / denom;
 }
 
-void ProfileSet::add(int l, const data::Value* row) {
+void ProfileSet::add(int l, data::RowRef row) {
   thaw();
   const auto lu = static_cast<std::size_t>(l);
   for (std::size_t r = 0; r < cardinalities_.size(); ++r) {
@@ -194,7 +194,7 @@ void ProfileSet::add(int l, const data::Value* row) {
   size_[lu] += 1.0;
 }
 
-void ProfileSet::remove(int l, const data::Value* row) {
+void ProfileSet::remove(int l, data::RowRef row) {
   thaw();
   const auto lu = static_cast<std::size_t>(l);
   for (std::size_t r = 0; r < cardinalities_.size(); ++r) {
@@ -206,56 +206,13 @@ void ProfileSet::remove(int l, const data::Value* row) {
   size_[lu] -= 1.0;
 }
 
-void ProfileSet::move(int from, int to, const data::Value* row) {
+void ProfileSet::move(int from, int to, data::RowRef row) {
   if (from == to) return;
   thaw();
   const auto fu = static_cast<std::size_t>(from);
   const auto tu = static_cast<std::size_t>(to);
   for (std::size_t r = 0; r < cardinalities_.size(); ++r) {
     const data::Value v = row[r];
-    if (!in_domain(r, v)) continue;
-    const std::size_t base = cell(r, v) * stride_;
-    counts_[base + fu] -= 1.0;
-    counts_[base + tu] += 1.0;
-    non_null_[r * stride_ + fu] -= 1.0;
-    non_null_[r * stride_ + tu] += 1.0;
-  }
-  size_[fu] -= 1.0;
-  size_[tu] += 1.0;
-}
-
-void ProfileSet::add(int l, const data::DatasetView& ds, std::size_t i) {
-  thaw();
-  const auto lu = static_cast<std::size_t>(l);
-  for (std::size_t r = 0; r < cardinalities_.size(); ++r) {
-    const data::Value v = ds.at(i, r);
-    if (!in_domain(r, v)) continue;
-    counts_[cell(r, v) * stride_ + lu] += 1.0;
-    non_null_[r * stride_ + lu] += 1.0;
-  }
-  size_[lu] += 1.0;
-}
-
-void ProfileSet::remove(int l, const data::DatasetView& ds, std::size_t i) {
-  thaw();
-  const auto lu = static_cast<std::size_t>(l);
-  for (std::size_t r = 0; r < cardinalities_.size(); ++r) {
-    const data::Value v = ds.at(i, r);
-    if (!in_domain(r, v)) continue;
-    counts_[cell(r, v) * stride_ + lu] -= 1.0;
-    non_null_[r * stride_ + lu] -= 1.0;
-  }
-  size_[lu] -= 1.0;
-}
-
-void ProfileSet::move(int from, int to, const data::DatasetView& ds,
-                      std::size_t i) {
-  if (from == to) return;
-  thaw();
-  const auto fu = static_cast<std::size_t>(from);
-  const auto tu = static_cast<std::size_t>(to);
-  for (std::size_t r = 0; r < cardinalities_.size(); ++r) {
-    const data::Value v = ds.at(i, r);
     if (!in_domain(r, v)) continue;
     const std::size_t base = cell(r, v) * stride_;
     counts_[base + fu] -= 1.0;
@@ -351,7 +308,7 @@ std::vector<int> ProfileSet::remove_clusters(const std::vector<char>& dead) {
   return remap;
 }
 
-void ProfileSet::score_all(const data::Value* row, double* out) const {
+void ProfileSet::score_all(data::RowRef row, double* out) const {
   const auto k = static_cast<std::size_t>(k_);
   const std::size_t d = cardinalities_.size();
   const simd::Kernels& kr = simd::kernels();
@@ -373,8 +330,8 @@ void ProfileSet::score_all(const data::Value* row, double* out) const {
   kr.div_f64(out, static_cast<double>(d), k);
 }
 
-void ProfileSet::weighted_score_all(const data::Value* row,
-                                    const double* weights, double* out) const {
+void ProfileSet::weighted_score_all(data::RowRef row, const double* weights,
+                                    double* out) const {
   const auto k = static_cast<std::size_t>(k_);
   const std::size_t d = cardinalities_.size();
   const simd::Kernels& kr = simd::kernels();
@@ -397,7 +354,7 @@ void ProfileSet::weighted_score_all(const data::Value* row,
   }
 }
 
-double ProfileSet::score_one(int l, const data::Value* row) const {
+double ProfileSet::score_one(int l, data::RowRef row) const {
   const std::size_t d = cardinalities_.size();
   double sum = 0.0;
   for (std::size_t r = 0; r < d; ++r) {
@@ -407,7 +364,7 @@ double ProfileSet::score_one(int l, const data::Value* row) const {
 }
 
 double ProfileSet::weighted_score_one(
-    int l, const data::Value* row, const std::vector<double>& weights) const {
+    int l, data::RowRef row, const std::vector<double>& weights) const {
   const std::size_t d = cardinalities_.size();
   double sum = 0.0;
   for (std::size_t r = 0; r < d; ++r) {
@@ -416,86 +373,10 @@ double ProfileSet::weighted_score_one(
   return sum;
 }
 
-void ProfileSet::score_all(const data::DatasetView& ds, std::size_t i,
-                           double* out) const {
-  const auto k = static_cast<std::size_t>(k_);
-  const std::size_t d = cardinalities_.size();
-  const simd::Kernels& kr = simd::kernels();
-  std::fill(out, out + k, 0.0);
-  if (frozen_) {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = ds.at(i, r);
-      if (!in_domain(r, v)) continue;
-      kr.acc_f64(out, probs_.data() + cell(r, v) * stride_, k);
-    }
-  } else {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = ds.at(i, r);
-      if (!in_domain(r, v)) continue;
-      kr.quot_f64(out, counts_.data() + cell(r, v) * stride_,
-                  non_null_.data() + r * stride_, k);
-    }
-  }
-  kr.div_f64(out, static_cast<double>(d), k);
-}
-
-void ProfileSet::weighted_score_all(const data::DatasetView& ds, std::size_t i,
-                                    const double* weights, double* out) const {
-  const auto k = static_cast<std::size_t>(k_);
-  const std::size_t d = cardinalities_.size();
-  const simd::Kernels& kr = simd::kernels();
-  std::fill(out, out + k, 0.0);
-  if (frozen_) {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = ds.at(i, r);
-      if (!in_domain(r, v)) continue;
-      kr.acc_w_f64(out, weights + r * k, probs_.data() + cell(r, v) * stride_,
-                   k);
-    }
-  } else {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = ds.at(i, r);
-      if (!in_domain(r, v)) continue;
-      kr.quot_w_f64(out, weights + r * k,
-                    counts_.data() + cell(r, v) * stride_,
-                    non_null_.data() + r * stride_, k);
-    }
-  }
-}
-
-double ProfileSet::score_one(int l, const data::DatasetView& ds,
-                             std::size_t i) const {
-  const std::size_t d = cardinalities_.size();
-  double sum = 0.0;
-  for (std::size_t r = 0; r < d; ++r) {
-    sum += value_similarity(l, r, ds.at(i, r));
-  }
-  return sum / static_cast<double>(d);
-}
-
-double ProfileSet::weighted_score_one(
-    int l, const data::DatasetView& ds, std::size_t i,
-    const std::vector<double>& weights) const {
-  const std::size_t d = cardinalities_.size();
-  double sum = 0.0;
-  for (std::size_t r = 0; r < d; ++r) {
-    sum += weights[r] * value_similarity(l, r, ds.at(i, r));
-  }
-  return sum;
-}
-
-int ProfileSet::best_cluster(const data::Value* row,
+int ProfileSet::best_cluster(data::RowRef row,
                              std::vector<double>& scratch) const {
   scratch.resize(static_cast<std::size_t>(k_));
   score_all(row, scratch.data());
-  return simd::kernels().argmax(scratch.data(),
-                                static_cast<std::size_t>(k_));
-}
-
-int ProfileSet::best_cluster(const data::DatasetView& ds, std::size_t i,
-                             std::vector<double>& scratch) const {
-  scratch.resize(static_cast<std::size_t>(k_));
-  score_all(ds, i, scratch.data());
   return simd::kernels().argmax(scratch.data(),
                                 static_cast<std::size_t>(k_));
 }

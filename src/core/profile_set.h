@@ -32,6 +32,11 @@
 // cached quotient is produced by the same division the live path performs,
 // so frozen scores are bit-identical too. Any mutation thaws the cache.
 //
+// Every per-row operation takes one row form, a data::RowRef: a dataset
+// row read in place (Dataset/DatasetView::row(i), stride n) or a packed
+// row (a const Value*, stride 1). Both read the same codes in the same
+// feature order, so the form never changes a bit of a result.
+//
 // Out-of-domain codes (anything outside [0, cardinality(r)), data::kMissing
 // included) are treated as missing by every accessor and mutator — the same
 // clamping Model::predict_row applies — so raw callers can never read or
@@ -99,14 +104,10 @@ class ProfileSet {
   double value_similarity(int l, std::size_t r, data::Value v) const;
 
   // O(d) membership maintenance. Out-of-domain cells contribute nothing.
-  void add(int l, const data::Value* row);
-  void remove(int l, const data::Value* row);
+  void add(int l, data::RowRef row);
+  void remove(int l, data::RowRef row);
   // remove(from) + add(to) fused into one row pass.
-  void move(int from, int to, const data::Value* row);
-  // The same maintenance reading view position i directly (no row gather).
-  void add(int l, const data::DatasetView& ds, std::size_t i);
-  void remove(int l, const data::DatasetView& ds, std::size_t i);
-  void move(int from, int to, const data::DatasetView& ds, std::size_t i);
+  void move(int from, int to, data::RowRef row);
   // Multiplies every count, non-null total and size by `factor`
   // (exponential forgetting of the streaming learner).
   void scale(double factor);
@@ -125,36 +126,23 @@ class ProfileSet {
 
   // Batched Eq. (1): out[l] = s(row, C_l) for every cluster, one
   // feature-major sweep. `out` must hold num_clusters() doubles.
-  void score_all(const data::Value* row, double* out) const;
+  void score_all(data::RowRef row, double* out) const;
   // Batched Eq. (14): weights are feature-major, weights[r * k + l] = w_rl
   // (each cluster's weight column sums to 1, so no 1/d factor).
-  void weighted_score_all(const data::Value* row, const double* weights,
+  void weighted_score_all(data::RowRef row, const double* weights,
                           double* out) const;
-  // Eq. (1) against a single cluster (the streaming rival-penalty path).
-  double score_one(int l, const data::Value* row) const;
+  // Eq. (1) against a single cluster (the anomaly eccentricity path).
+  double score_one(int l, data::RowRef row) const;
   // Eq. (14) against a single cluster with a length-d weight vector.
-  double weighted_score_one(int l, const data::Value* row,
-                            const std::vector<double>& weights) const;
-
-  // View-position overloads of the batched/single scorers: identical
-  // arithmetic in identical (ascending-feature) order, reading cells
-  // straight out of the columnar bank instead of a gathered row.
-  void score_all(const data::DatasetView& ds, std::size_t i,
-                 double* out) const;
-  void weighted_score_all(const data::DatasetView& ds, std::size_t i,
-                          const double* weights, double* out) const;
-  double score_one(int l, const data::DatasetView& ds, std::size_t i) const;
-  double weighted_score_one(int l, const data::DatasetView& ds, std::size_t i,
+  double weighted_score_one(int l, data::RowRef row,
                             const std::vector<double>& weights) const;
 
   // Argmax of score_all with ties resolved to the lowest cluster id.
   // `scratch` is resized to k; pass a per-thread buffer in parallel sweeps.
-  int best_cluster(const data::Value* row, std::vector<double>& scratch) const;
-  int best_cluster(const data::DatasetView& ds, std::size_t i,
-                   std::vector<double>& scratch) const;
+  int best_cluster(data::RowRef row, std::vector<double>& scratch) const;
 
   // Frozen batched argmax over a row range: out[i - lo] =
-  // best_cluster(ds, i) for i in [lo, hi), labels byte-identical to the
+  // best_cluster(ds.row(i)) for i in [lo, hi), labels byte-identical to the
   // per-row call. Freezes lazily (same single-writer contract as
   // freeze()); sweeps cache-blocked k x d tiles so a block of clusters
   // stays resident across features when k is large — the production

@@ -144,14 +144,15 @@ baselines::ClusterResult RgclLearner::cluster(const data::DatasetView& ds,
                             config.initial_delta);
   std::vector<int> assign(n, -1);
   for (int j = 0; j < k; ++j) {
-    set.add(j, ds, seeds[static_cast<std::size_t>(j)]);
+    set.add(j, ds.row(seeds[static_cast<std::size_t>(j)]));
     assign[seeds[static_cast<std::size_t>(j)]] = j;
   }
 
   std::vector<double> scores(static_cast<std::size_t>(k));
   for (int epoch = 0; epoch < config.epochs; ++epoch) {
     for (const std::size_t i : order) {
-      set.score_all(ds, i, scores.data());
+      const data::RowRef row = ds.row(i);
+      set.score_all(row, scores.data());
       int v = 0;
       double best = -1.0;
       for (int l = 0; l < k; ++l) {
@@ -168,9 +169,9 @@ baselines::ClusterResult RgclLearner::cluster(const data::DatasetView& ds,
       // cannot hold the preset k).
       if (prev >= 0 && prev != v && set.size(prev) <= 1.0) v = prev;
       if (prev < 0) {
-        set.add(v, ds, i);
+        set.add(v, row);
       } else if (prev != v) {
-        set.move(prev, v, ds, i);
+        set.move(prev, v, row);
       }
       assign[i] = v;
 

@@ -14,9 +14,10 @@
 // value_counts, the MGCPL/CAME sweeps) walk stride-1 memory. Constructors
 // and builders still accept row-major cells — the familiar ingestion layout
 // of CSV readers and generators — and transpose once at construction.
-// Row access is a gather: at(i, r) indexes the column bank directly and
-// gather_row(i, out) materialises one object's d values into a caller
-// buffer (the old row(i) pointer cannot exist in a columnar bank).
+// Rows are read in place: row(i) is a RowRef, a pointer to the row's first
+// cell plus a stride of n, so row(i)[r] is at(i, r) with no copy. Where a
+// packed copy is wanted, gather_row(i, out) materialises one object's d
+// values into a caller buffer.
 #pragma once
 
 #include <cstdint>
@@ -31,6 +32,23 @@ using Value = std::int32_t;
 inline constexpr Value kMissing = -1;
 
 class Dataset;
+
+// One object's d codes, read where they lie: feature r's code is
+// first[r * stride]. Dataset::row(i) points into the column-major bank
+// (stride n); a packed, pre-encoded row (stride 1) converts implicitly from
+// its pointer, so one signature takes both. Borrowed: the cells must
+// outlive the reference.
+struct RowRef {
+  // Implicit on purpose: every packed-row caller keeps compiling.
+  RowRef(const Value* packed) : first(packed) {}
+  RowRef(const Value* first_cell, std::size_t step)
+      : first(first_cell), stride(step) {}
+
+  Value operator[](std::size_t r) const { return first[r * stride]; }
+
+  const Value* first;
+  std::size_t stride = 1;
+};
 
 // Incrementally assembles a Dataset from string-valued rows. Dictionaries
 // are built in first-seen order, so generation order fully determines the
@@ -86,6 +104,8 @@ class Dataset {
 
   // Pointer to feature r's n contiguous values (the columnar hot path).
   const Value* col(std::size_t r) const { return cells_.data() + r * n_; }
+  // Row i in place: one step of n down the bank per feature.
+  RowRef row(std::size_t i) const { return {cells_.data() + i, n_}; }
 
   // Materialises row i's d values into out[0..d) (a strided gather).
   void gather_row(std::size_t i, Value* out) const {

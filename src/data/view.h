@@ -19,7 +19,9 @@
 //
 // Position vs row id: every accessor takes view positions i in
 // [0, num_objects()); row_id(i) recovers the underlying dataset row, which
-// is what shard reports and cross-view bookkeeping should store.
+// is what shard reports and cross-view bookkeeping should store. row(i)
+// reads position i in place as a strided RowRef into the dataset's bank —
+// the one row form ProfileSet's per-row operations take.
 #pragma once
 
 #include <cassert>
@@ -86,6 +88,9 @@ class DatasetView {
     assert(identity_ && "DatasetView::col requires an identity view");
     return ds_->col(r);
   }
+
+  // View position i read in place (no gather), like Dataset::row.
+  RowRef row(std::size_t i) const { return ds_->row(row_id(i)); }
 
   void gather_row(std::size_t i, Value* out) const {
     ds_->gather_row(row_id(i), out);

@@ -1,7 +1,8 @@
 // Tests for the flat ProfileSet scoring kernel (profile_set.h): bit-exact
 // equivalence with the definition-level Eq. (1)/(14) reference
 // (similarity.h) on randomised datasets with NULLs, incremental
-// maintenance, cluster append/remove restriding, verbatim cluster
+// maintenance, every per-row operation on a strided row(i) against the
+// packed row_copy(i), cluster append/remove restriding, verbatim cluster
 // selection and array round trips, out-of-domain clamping, and fixed-seed
 // label goldens across every registered method (the byte-identity contract
 // of the kernel); plus the register-blocked batch argmax vs the per-row
@@ -79,18 +80,18 @@ TEST(ProfileSet, ScoreAllMatchesReferenceSimilarity) {
     }
     std::vector<double> batched(static_cast<std::size_t>(c.k));
     for (std::size_t i = 0; i < c.ds.num_objects(); ++i) {
-      set.score_all(c.ds, i, batched.data());
+      set.score_all(c.ds.row(i), batched.data());
       for (int l = 0; l < c.k; ++l) {
         const double expected = reference[i * static_cast<std::size_t>(c.k) +
                                           static_cast<std::size_t>(l)];
         EXPECT_EQ(batched[static_cast<std::size_t>(l)], expected);
-        EXPECT_EQ(set.score_one(l, c.ds, i), expected);
+        EXPECT_EQ(set.score_one(l, c.ds.row(i)), expected);
       }
     }
     // Frozen quotients come from the same divisions: still identical.
     set.freeze();
     for (std::size_t i = 0; i < c.ds.num_objects(); ++i) {
-      set.score_all(c.ds, i, batched.data());
+      set.score_all(c.ds.row(i), batched.data());
       for (int l = 0; l < c.k; ++l) {
         EXPECT_EQ(batched[static_cast<std::size_t>(l)],
                   reference[i * static_cast<std::size_t>(c.k) +
@@ -122,13 +123,13 @@ TEST(ProfileSet, WeightedScoreAllMatchesReferenceWeightedSimilarity) {
   std::vector<double> batched(static_cast<std::size_t>(c.k));
   for (std::size_t i = 0; i < c.ds.num_objects(); ++i) {
     const std::vector<data::Value> row = c.ds.row_copy(i);
-    set.weighted_score_all(c.ds, i, bank.data(), batched.data());
+    set.weighted_score_all(c.ds.row(i), bank.data(), batched.data());
     for (int l = 0; l < c.k; ++l) {
       const auto& w = omega[static_cast<std::size_t>(l)];
       const double reference = core::reference::weighted_similarity(
           c.ds, c.labels, l, row.data(), w);
       EXPECT_EQ(batched[static_cast<std::size_t>(l)], reference);
-      EXPECT_EQ(set.weighted_score_one(l, c.ds, i, w), reference);
+      EXPECT_EQ(set.weighted_score_one(l, c.ds.row(i), w), reference);
     }
   }
 }
@@ -141,7 +142,7 @@ TEST(ProfileSet, IncrementalMaintenanceMatchesRebuild) {
   for (int step = 0; step < 200; ++step) {
     const auto i = static_cast<std::size_t>(rng.below(c.ds.num_objects()));
     const int to = static_cast<int>(rng.below(static_cast<std::uint64_t>(c.k)));
-    set.move(c.labels[i], to, c.ds, i);
+    set.move(c.labels[i], to, c.ds.row(i));
     c.labels[i] = to;
   }
   const core::ProfileSet rebuilt =
@@ -157,6 +158,88 @@ TEST(ProfileSet, IncrementalMaintenanceMatchesRebuild) {
   }
 }
 
+// The one row form: row(i) reads a row in place through the column-major
+// bank (stride n), row_copy(i) is the same row packed (stride 1), and every
+// per-row operation must not tell them apart. Checked on a Dataset, its
+// identity view and an indirect view whose rows repeat: scores with
+// EXPECT_EQ on live and frozen banks, then counts, non-null totals and
+// sizes after the same add/remove/move sequence through either form.
+TEST(ProfileSet, StridedRowsActLikePackedRows) {
+  const RandomCase c = random_case(81, 90, 7, 6);
+  const std::size_t n = c.ds.num_objects();
+  const std::size_t d = c.ds.num_features();
+  const auto k = static_cast<std::size_t>(c.k);
+  std::vector<std::size_t> ids(n + n / 2);
+  for (std::size_t j = 0; j < ids.size(); ++j) ids[j] = (j * 53 + 5) % n;
+  std::vector<int> id_labels(ids.size());
+  for (std::size_t j = 0; j < ids.size(); ++j) id_labels[j] = c.labels[ids[j]];
+  Rng rng(83);
+  std::vector<std::vector<double>> omega(k, std::vector<double>(d));
+  std::vector<double> weights(d * k);
+  for (std::size_t l = 0; l < k; ++l) {
+    for (std::size_t r = 0; r < d; ++r) {
+      omega[l][r] = rng.uniform();
+      weights[r * k + l] = omega[l][r];
+    }
+  }
+
+  const auto check = [&](const auto& rows, const std::vector<int>& labels) {
+    const std::size_t m = rows.num_objects();
+    core::ProfileSet set = core::ProfileSet::from_assignment(rows, labels, c.k);
+    std::vector<double> a(k), b(k), scratch;
+    for (const bool frozen : {false, true}) {
+      if (frozen) set.freeze();
+      for (std::size_t i = 0; i < m; ++i) {
+        const data::RowRef row = rows.row(i);
+        const std::vector<data::Value> packed = rows.row_copy(i);
+        for (std::size_t r = 0; r < d; ++r) EXPECT_EQ(row[r], packed[r]);
+        set.score_all(row, a.data());
+        set.score_all(packed.data(), b.data());
+        EXPECT_EQ(a, b) << "row " << i;
+        set.weighted_score_all(row, weights.data(), a.data());
+        set.weighted_score_all(packed.data(), weights.data(), b.data());
+        EXPECT_EQ(a, b) << "row " << i;
+        for (int l = 0; l < c.k; ++l) {
+          const auto& w = omega[static_cast<std::size_t>(l)];
+          EXPECT_EQ(set.score_one(l, row), set.score_one(l, packed.data()));
+          EXPECT_EQ(set.weighted_score_one(l, row, w),
+                    set.weighted_score_one(l, packed.data(), w));
+        }
+        EXPECT_EQ(set.best_cluster(row, scratch),
+                  set.best_cluster(packed.data(), scratch));
+      }
+    }
+    core::ProfileSet strided = set;
+    core::ProfileSet packed = set;
+    for (std::size_t i = 0; i < m; ++i) {
+      const std::vector<data::Value> copy = rows.row_copy(i);
+      const int to = static_cast<int>((i * 7 + 3) % k);
+      if (i % 3 == 0) {
+        strided.add(to, rows.row(i));
+        packed.add(to, copy.data());
+      } else if (i % 3 == 1) {
+        strided.remove(labels[i], rows.row(i));
+        packed.remove(labels[i], copy.data());
+      } else {
+        strided.move(labels[i], to, rows.row(i));
+        packed.move(labels[i], to, copy.data());
+      }
+    }
+    for (int l = 0; l < c.k; ++l) {
+      EXPECT_EQ(strided.size(l), packed.size(l));
+      for (std::size_t r = 0; r < d; ++r) {
+        EXPECT_EQ(strided.non_null(l, r), packed.non_null(l, r));
+        for (data::Value v = 0; v < c.ds.cardinality(r); ++v) {
+          EXPECT_EQ(strided.count(l, r, v), packed.count(l, r, v));
+        }
+      }
+    }
+  };
+  check(c.ds, c.labels);
+  check(data::DatasetView(c.ds), c.labels);
+  check(data::DatasetView(c.ds, ids), id_labels);
+}
+
 TEST(ProfileSet, AppendAndRemoveClustersRestrideTheBank) {
   const RandomCase c = random_case(31, 60, 4, 3);
   core::ProfileSet set = core::ProfileSet::from_assignment(c.ds, c.labels, c.k);
@@ -164,7 +247,7 @@ TEST(ProfileSet, AppendAndRemoveClustersRestrideTheBank) {
   EXPECT_EQ(fresh, 3);
   EXPECT_EQ(set.num_clusters(), 4);
   EXPECT_TRUE(set.empty(fresh));
-  set.add(fresh, c.ds, 0);
+  set.add(fresh, c.ds.row(0));
   EXPECT_DOUBLE_EQ(set.size(fresh), 1.0);
 
   // Old clusters kept their histograms across the restride.
@@ -227,7 +310,7 @@ TEST(ProfileSet, SelectAndFromArraysCopyDecayedBanksVerbatim) {
   core::ProfileSet set = core::ProfileSet::from_assignment(c.ds, c.labels, c.k);
   for (int step = 0; step < 7; ++step) {
     set.scale(0.9);
-    set.add(step % c.k, c.ds, static_cast<std::size_t>(step));
+    set.add(step % c.k, c.ds.row(static_cast<std::size_t>(step)));
   }
   const std::vector<int> order = {3, 0, 4};
   const core::ProfileSet picked = set.select(order);
@@ -251,8 +334,8 @@ TEST(ProfileSet, SelectAndFromArraysCopyDecayedBanksVerbatim) {
       set.cardinalities(), sizes, non_null, counts);
   std::vector<double> a(3), b(3);
   for (std::size_t i = 0; i < c.ds.num_objects(); ++i) {
-    picked.score_all(c.ds, i, a.data());
-    rebuilt.score_all(c.ds, i, b.data());
+    picked.score_all(c.ds.row(i), a.data());
+    rebuilt.score_all(c.ds.row(i), b.data());
     EXPECT_EQ(a, b) << "row " << i;
   }
   EXPECT_EQ(set.select({}).num_clusters(), 0);
@@ -279,7 +362,7 @@ TEST(ProfileSet, BestClusterBreaksTiesToLowestId) {
   core::ProfileSet set = core::ProfileSet::from_assignment(ds, {0, 1, 0, 1}, 2);
   std::vector<double> scratch;
   for (std::size_t i = 0; i < ds.num_objects(); ++i) {
-    EXPECT_EQ(set.best_cluster(ds, i, scratch), 0);
+    EXPECT_EQ(set.best_cluster(ds.row(i), scratch), 0);
   }
 }
 
@@ -313,7 +396,7 @@ TEST(ProfileSet, BlockedBestClustersMatchPerRowArgmax) {
     set.best_clusters(c.ds, 0, n, blocked.data());
     std::vector<double> scratch;
     for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(blocked[i], set.best_cluster(c.ds, i, scratch))
+      EXPECT_EQ(blocked[i], set.best_cluster(c.ds.row(i), scratch))
           << "seed " << s.seed << " row " << i;
     }
     // A sub-range lands in the same labels at shifted positions.
@@ -361,7 +444,7 @@ TEST(ProfileSet, ConcurrentFrozenReads) {
       set.best_clusters(c.ds, 0, n, mine.data());
       // Per-row reads share the same cache concurrently.
       std::vector<double> scores(static_cast<std::size_t>(c.k));
-      set.score_all(c.ds, static_cast<std::size_t>(t), scores.data());
+      set.score_all(c.ds.row(static_cast<std::size_t>(t)), scores.data());
       got[static_cast<std::size_t>(t)] = std::move(mine);
     });
   }
@@ -441,7 +524,7 @@ TEST(Model, PredictScoresMatchTheScoreAllReference) {
     if (k == 0) continue;
     // The streaming learners' forgetting: scale, absorb, scale again.
     bank.scale(0.85);
-    for (std::size_t i = 0; i < 100; ++i) bank.add(labels[i], ds, i);
+    for (std::size_t i = 0; i < 100; ++i) bank.add(labels[i], ds.row(i));
     bank.scale(0.85);
     models.push_back(api::Model::from_profiles("decayed", std::move(bank)));
   }

@@ -32,16 +32,16 @@ TEST(Similarity, AddRemoveRoundTrip) {
   const Dataset ds = tiny();
   ProfileSet p(ds.cardinalities(), 1);
   EXPECT_TRUE(p.empty(0));
-  p.add(0, ds, 0);
-  p.add(0, ds, 1);
+  p.add(0, ds.row(0));
+  p.add(0, ds.row(1));
   EXPECT_EQ(p.size(0), 2.0);
   EXPECT_EQ(p.count(0, 0, 0), 2.0);
   EXPECT_EQ(p.count(0, 1, 0), 1.0);
   EXPECT_EQ(p.non_null(0, 0), 2.0);
-  p.remove(0, ds, 0);
+  p.remove(0, ds.row(0));
   EXPECT_EQ(p.size(0), 1.0);
   EXPECT_EQ(p.count(0, 0, 0), 1.0);
-  p.remove(0, ds, 1);
+  p.remove(0, ds.row(1));
   EXPECT_TRUE(p.empty(0));
   for (std::size_t r = 0; r < 2; ++r) EXPECT_EQ(p.non_null(0, r), 0.0);
 }
@@ -64,15 +64,15 @@ TEST(Similarity, SimilarityAveragesOverFeatures) {
   const Dataset ds = tiny();
   const ProfileSet p = ProfileSet::from_assignment(ds, {0, 0, -1, -1}, 1);
   // Object 0 = (0,0): s = 1/2 * (2/2 + 1/2) = 0.75.
-  EXPECT_DOUBLE_EQ(p.score_one(0, ds, 0), 0.75);
+  EXPECT_DOUBLE_EQ(p.score_one(0, ds.row(0)), 0.75);
   // Object 3 = (2,1): s = 1/2 * (0 + 1/2) = 0.25.
-  EXPECT_DOUBLE_EQ(p.score_one(0, ds, 3), 0.25);
+  EXPECT_DOUBLE_EQ(p.score_one(0, ds.row(3)), 0.25);
 }
 
 TEST(Similarity, SelfSimilarityOfSingletonIsOne) {
   const Dataset ds = tiny();
   const ProfileSet p = ProfileSet::from_assignment(ds, {-1, -1, 0, -1}, 1);
-  EXPECT_DOUBLE_EQ(p.score_one(0, ds, 2), 1.0);
+  EXPECT_DOUBLE_EQ(p.score_one(0, ds.row(2)), 1.0);
 }
 
 TEST(Similarity, WeightedSimilarityUniformMatchesEq1) {
@@ -80,7 +80,8 @@ TEST(Similarity, WeightedSimilarityUniformMatchesEq1) {
   const ProfileSet p = ProfileSet::from_assignment(ds, {0, 0, -1, 0}, 1);
   const std::vector<double> uniform(2, 0.5);
   for (std::size_t i = 0; i < ds.num_objects(); ++i) {
-    EXPECT_NEAR(p.weighted_score_one(0, ds, i, uniform), p.score_one(0, ds, i),
+    EXPECT_NEAR(p.weighted_score_one(0, ds.row(i), uniform),
+                p.score_one(0, ds.row(i)),
                 1e-12);
   }
 }
@@ -89,8 +90,8 @@ TEST(Similarity, WeightedSimilaritySkewsTowardHeavyFeature) {
   const Dataset ds = tiny();
   const ProfileSet p = ProfileSet::from_assignment(ds, {0, -1, -1, -1}, 1);
   // Object 1 = (0,1): matches feature 0 only.
-  EXPECT_DOUBLE_EQ(p.weighted_score_one(0, ds, 1, {1.0, 0.0}), 1.0);
-  EXPECT_DOUBLE_EQ(p.weighted_score_one(0, ds, 1, {0.0, 1.0}), 0.0);
+  EXPECT_DOUBLE_EQ(p.weighted_score_one(0, ds.row(1), {1.0, 0.0}), 1.0);
+  EXPECT_DOUBLE_EQ(p.weighted_score_one(0, ds.row(1), {0.0, 1.0}), 0.0);
 }
 
 TEST(Similarity, MissingValuesAreNeutral) {
@@ -102,7 +103,7 @@ TEST(Similarity, MissingValuesAreNeutral) {
   EXPECT_EQ(p.non_null(0, 0), 1.0);
   EXPECT_DOUBLE_EQ(p.value_similarity(0, 0, 0), 1.0);
   // The missing value itself has similarity zero.
-  EXPECT_DOUBLE_EQ(p.score_one(0, ds, 1), 0.0);
+  EXPECT_DOUBLE_EQ(p.score_one(0, ds.row(1)), 0.0);
 }
 
 TEST(Similarity, AllNullColumnYieldsZero) {
