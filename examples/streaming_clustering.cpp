@@ -6,6 +6,7 @@
 // streams two regimes: three workload profiles, then an abrupt switch to a
 // different two-profile mix — and shows the learner following the change.
 #include <cstdio>
+#include <vector>
 
 #include "core/streaming.h"
 #include "data/synthetic.h"
@@ -35,12 +36,14 @@ int main() {
   core::StreamingMgcpl learner(schema_probe.cardinalities(), config);
 
   std::printf("chunk  regime        live-k  AMI(vs regime labels)\n");
+  std::vector<std::size_t> live_k;
   for (int chunk = 0; chunk < 10; ++chunk) {
     // Chunks 0-4: three profiles; chunks 5-9: two different profiles.
     const bool phase1 = chunk < 5;
     const auto data = regime(phase1 ? 3 : 2,
                              static_cast<std::uint64_t>(chunk) + (phase1 ? 100 : 900));
     learner.observe_chunk(data);
+    live_k.push_back(learner.num_clusters());
     if (learner.num_clusters() == 0) {
       // classify() reports -1 per row when every cluster was pruned (no
       // structure to assign to) — nothing to score against ground truth.
@@ -56,7 +59,7 @@ int main() {
   }
 
   std::printf("\nlive cluster-count history:");
-  for (int k : learner.k_history()) std::printf(" %d", k);
+  for (const std::size_t k : live_k) std::printf(" %zu", k);
   std::printf(
       "\n\nThe learner settles at the regime's true cluster count in each "
       "phase and\nre-converges after the drift — no restarts, bounded "

@@ -151,7 +151,6 @@ void OnlineLearner::end_chunk() {
   // Alg. 1 line 13).
   wins_.assign(ids_.size(), 0.0);
   for (double& delta : delta_) delta = std::max(delta, initial_delta_);
-  k_history_.push_back(static_cast<int>(ids_.size()));
 }
 
 std::vector<int> OnlineLearner::classify(const data::DatasetView& ds) const {
@@ -195,7 +194,6 @@ void OnlineLearner::reset() {
   ids_.clear();
   rows_seen_ = 0;
   next_id_ = 0;
-  k_history_.clear();
 }
 
 double OnlineLearner::total_mass() const {

@@ -77,8 +77,6 @@ class OnlineLearner {
   std::size_t num_features() const { return cardinalities_.size(); }
   // Total (decayed) mass across clusters.
   double total_mass() const;
-  // History of cluster counts recorded at each consolidation.
-  const std::vector<int>& k_history() const { return k_history_; }
 
   // --- stable-id introspection ---------------------------------------------
   // Live cluster ids in slot order (an evicted slot is reused in place, so
@@ -135,7 +133,6 @@ class OnlineLearner {
   std::size_t max_clusters_;
   std::vector<std::vector<std::string>> values_;
   int next_id_ = 0;
-  std::vector<int> k_history_;
 };
 
 }  // namespace mcdc::core
