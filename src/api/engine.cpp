@@ -216,43 +216,30 @@ FitResult Engine::fit(const data::DatasetView& ds,
   return finish_with(Status::Ok());
 }
 
+std::shared_ptr<const Model> Engine::last_fit(const char* caller) const {
+  std::lock_guard lock(last_fit_mutex_);
+  if (last_fit_ == nullptr) {
+    throw std::logic_error(std::string(caller) +
+                           ": no successful fit to serve");
+  }
+  return last_fit_;
+}
+
 std::shared_ptr<serve::ModelServer> Engine::serve(
     serve::ServeConfig config) const {
-  std::shared_ptr<const Model> model;
-  {
-    std::lock_guard lock(last_fit_mutex_);
-    model = last_fit_;
-  }
-  if (model == nullptr) {
-    throw std::logic_error("Engine::serve: no successful fit to serve");
-  }
-  return std::make_shared<serve::ModelServer>(std::move(model), config);
+  return std::make_shared<serve::ModelServer>(last_fit("Engine::serve"),
+                                              config);
 }
 
 std::shared_ptr<serve::ServingCluster> Engine::serve_cluster(
     serve::ClusterConfig config) const {
-  std::shared_ptr<const Model> model;
-  {
-    std::lock_guard lock(last_fit_mutex_);
-    model = last_fit_;
-  }
-  if (model == nullptr) {
-    throw std::logic_error("Engine::serve_cluster: no successful fit to serve");
-  }
-  return std::make_shared<serve::ServingCluster>(std::move(model),
-                                                 std::move(config));
+  return std::make_shared<serve::ServingCluster>(
+      last_fit("Engine::serve_cluster"), std::move(config));
 }
 
 std::shared_ptr<serve::OnlineUpdater> Engine::serve_online(
     serve::OnlineConfig config) const {
-  std::shared_ptr<const Model> model;
-  {
-    std::lock_guard lock(last_fit_mutex_);
-    model = last_fit_;
-  }
-  if (model == nullptr) {
-    throw std::logic_error("Engine::serve_online: no successful fit to serve");
-  }
+  std::shared_ptr<const Model> model = last_fit("Engine::serve_online");
   // The learner inherits the fit's schema and dictionaries, so every
   // snapshot it publishes re-encodes foreign rows exactly like the fit it
   // evolves away from.

@@ -99,6 +99,10 @@ class Engine {
   // it is two pointers, construct another.
   mutable std::mutex last_fit_mutex_;
   mutable std::shared_ptr<const Model> last_fit_;
+
+  // The model of the last successful fit; throws std::logic_error
+  // "<caller>: no successful fit to serve" when there is none.
+  std::shared_ptr<const Model> last_fit(const char* caller) const;
 };
 
 }  // namespace mcdc::api
