@@ -650,17 +650,25 @@ TEST(LearnerDeterminism, OnlineLearnersArePinnedAtBothDispatchLevels) {
 #endif
 }
 
-// Row-op golden: the two consumers of ProfileSet's per-row scorers that no
-// registry method reaches, hashed bit for bit — score_anomalies (score_one:
-// the bits of every score, then the ranking) and select_queries (score_all
-// margins: the bits of every uncertainty, then the queries). One MGCPL
-// analysis per view feeds both.
-std::uint64_t row_op_hash(std::uint64_t h, const data::DatasetView& view) {
+// Anomaly golden: score_anomalies, the consumer of ProfileSet's score_one
+// that no registry method reaches, hashed bit for bit — the bits of every
+// score, then the ranking. Each view gets its own MGCPL analysis.
+std::uint64_t anomaly_hash(std::uint64_t h, const data::DatasetView& view) {
   const core::MgcplResult mgcpl = core::Mgcpl().run(view, 17);
-  EXPECT_GE(mgcpl.kappa.front(), 2) << "no margins to score";
   const core::AnomalyResult anomalies = core::score_anomalies(view, mgcpl);
   for (const double score : anomalies.scores) h = fnv1a_bits(h, {score});
   for (const std::size_t i : anomalies.ranking) h = fnv1a_u64(h, {i});
+  return h;
+}
+
+// Row-op golden: the two consumers of ProfileSet's per-row scorers that no
+// registry method reaches, hashed bit for bit — score_anomalies (as
+// anomaly_hash) and select_queries (score_all margins: the bits of every
+// uncertainty, then the queries). One MGCPL analysis per view feeds both.
+std::uint64_t row_op_hash(std::uint64_t h, const data::DatasetView& view) {
+  h = anomaly_hash(h, view);
+  const core::MgcplResult mgcpl = core::Mgcpl().run(view, 17);
+  EXPECT_GE(mgcpl.kappa.front(), 2) << "no margins to score";
   core::QuerySelectionConfig config;
   config.budget = 40;
   const core::QuerySelection selection =
@@ -670,7 +678,8 @@ std::uint64_t row_op_hash(std::uint64_t h, const data::DatasetView& view) {
   return h;
 }
 
-TEST(RowOpDeterminism, AnomalyScoresAndQueryMarginsArePinnedAtBothDispatchLevels) {
+// The row-op table: 900 x 10 nested rows with 6% missing cells.
+data::Dataset row_op_table() {
   data::NestedConfig config;
   config.num_objects = 900;
   config.num_features = 10;
@@ -680,11 +689,17 @@ TEST(RowOpDeterminism, AnomalyScoresAndQueryMarginsArePinnedAtBothDispatchLevels
   config.cardinality = 12;
   config.purity = 0.85;
   config.seed = 2001;
-  const data::Dataset ds =
-      data::with_missing_cells(data::nested(config).dataset, 0.06, 2002);
-  ASSERT_TRUE(ds.has_missing());
-  // The indirect view visits every row once in a shuffled order (389 is
-  // coprime to n), then the first third of that order a second time.
+  return data::with_missing_cells(data::nested(config).dataset, 0.06, 2002);
+}
+
+// Hashes `row_hash` over the identity view of `ds` and over an indirect
+// view of it, under each kernel table, and returns the scalar hash after
+// checking the two tables agree. The indirect view visits every row once
+// in a shuffled order (389 is coprime to n), then the first third of that
+// order a second time.
+std::uint64_t row_op_levels(
+    const data::Dataset& ds, const char* what,
+    std::uint64_t (*row_hash)(std::uint64_t, const data::DatasetView&)) {
   const std::size_t n = ds.num_objects();
   std::vector<std::size_t> rows(n + n / 3);
   for (std::size_t j = 0; j < rows.size(); ++j) rows[j] = (j * 389 + 7) % n;
@@ -696,15 +711,32 @@ TEST(RowOpDeterminism, AnomalyScoresAndQueryMarginsArePinnedAtBothDispatchLevels
        {core::simd::Level::kScalar, core::simd::Level::kAvx2}) {
     core::simd::set_level(level);
     std::uint64_t& h = hashes[static_cast<std::size_t>(level)];
-    h = row_op_hash(h, ds);
-    h = row_op_hash(h, shuffled);
+    h = row_hash(h, ds);
+    h = row_hash(h, shuffled);
   }
   core::simd::set_level(entry);
   EXPECT_EQ(hashes[1], hashes[0])
-      << "anomaly scores or query margins diverged between the scalar and "
+      << what << " diverged between the scalar and "
       << core::simd::level_name(core::simd::level()) << " kernel tables";
+  return hashes[0];
+}
+
+TEST(RowOpDeterminism, AnomalyScoresArePinnedAtBothDispatchLevels) {
+  const data::Dataset ds = row_op_table();
+  ASSERT_TRUE(ds.has_missing());
+  const std::uint64_t h = row_op_levels(ds, "anomaly scores", anomaly_hash);
 #if defined(__linux__) && defined(__GLIBC__)
-  EXPECT_EQ(hashes[0], 0xef277c518aa69b22ULL)
+  EXPECT_EQ(h, 0xe4339875c8827cb8ULL) << "anomaly scores drifted";
+#endif
+}
+
+TEST(RowOpDeterminism, AnomalyScoresAndQueryMarginsArePinnedAtBothDispatchLevels) {
+  const data::Dataset ds = row_op_table();
+  ASSERT_TRUE(ds.has_missing());
+  const std::uint64_t h =
+      row_op_levels(ds, "anomaly scores or query margins", row_op_hash);
+#if defined(__linux__) && defined(__GLIBC__)
+  EXPECT_EQ(h, 0xef277c518aa69b22ULL)
       << "anomaly scores or query margins drifted";
 #endif
 }
