@@ -205,7 +205,7 @@ FitResult Engine::fit(const data::DatasetView& ds,
 
   report.timings.total_seconds = total.elapsed_seconds();
   {
-    // Remember the fit for serve(). This copies the model once per
+    // Remember the fit for serve_online(). This copies the model once per
     // successful fit — small against the fit itself (the same structures
     // were just built from dozens of dataset passes), and the hot batch
     // paths (bench harnesses, distributed workers) call clusterers
@@ -216,30 +216,16 @@ FitResult Engine::fit(const data::DatasetView& ds,
   return finish_with(Status::Ok());
 }
 
-std::shared_ptr<const Model> Engine::last_fit(const char* caller) const {
-  std::lock_guard lock(last_fit_mutex_);
-  if (last_fit_ == nullptr) {
-    throw std::logic_error(std::string(caller) +
-                           ": no successful fit to serve");
-  }
-  return last_fit_;
-}
-
-std::shared_ptr<serve::ModelServer> Engine::serve(
-    serve::ServeConfig config) const {
-  return std::make_shared<serve::ModelServer>(last_fit("Engine::serve"),
-                                              config);
-}
-
-std::shared_ptr<serve::ServingCluster> Engine::serve_cluster(
-    serve::ClusterConfig config) const {
-  return std::make_shared<serve::ServingCluster>(
-      last_fit("Engine::serve_cluster"), std::move(config));
-}
-
 std::shared_ptr<serve::OnlineUpdater> Engine::serve_online(
     serve::OnlineConfig config) const {
-  std::shared_ptr<const Model> model = last_fit("Engine::serve_online");
+  std::shared_ptr<const Model> model;
+  {
+    std::lock_guard lock(last_fit_mutex_);
+    model = last_fit_;
+  }
+  if (model == nullptr) {
+    throw std::logic_error("Engine::serve_online: no successful fit to serve");
+  }
   // The learner inherits the fit's schema and dictionaries, so every
   // snapshot it publishes re-encodes foreign rows exactly like the fit it
   // evolves away from.

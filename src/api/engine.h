@@ -22,9 +22,7 @@
 #include "api/report.h"
 #include "data/dataset.h"
 #include "data/view.h"
-#include "serve/cluster.h"
 #include "serve/online.h"
-#include "serve/server.h"
 
 namespace mcdc::api {
 
@@ -65,44 +63,25 @@ class Engine {
   FitResult fit(const data::DatasetView& ds,
                 const FitOptions& options = {}) const;
 
-  // Spins up a serve::ModelServer whose first snapshot is this engine's
-  // most recent successful fit (each successful fit() also remembers its
-  // model for exactly this call). Later swaps — refits, streaming drains,
-  // JSON hot-reloads — go through ModelServer::swap. Throws
-  // std::logic_error when no fit has succeeded yet: there is nothing to
-  // bind the server to.
-  std::shared_ptr<serve::ModelServer> serve(
-      serve::ServeConfig config = {}) const;
-
-  // The sharded form: a serve::ServingCluster whose shards all start on
-  // the most recent successful fit (generation 1). Later models roll out
-  // via ServingCluster::rolling_swap. Throws std::logic_error when no fit
-  // has succeeded yet.
-  std::shared_ptr<serve::ServingCluster> serve_cluster(
-      serve::ClusterConfig config = {}) const;
-
-  // The continuous-learning form: a serve::OnlineUpdater whose ModelServer
-  // starts on the most recent successful fit and whose learner (streaming
-  // MGCPL or mcdc-online RGCL, per config) inherits that fit's schema and
-  // value dictionaries. Feed observed traffic through
-  // OnlineUpdater::observe; drift-triggered refits and incremental swaps
-  // publish back through the server automatically. Throws std::logic_error
-  // when no fit has succeeded yet.
+  // Continuous learning: a serve::OnlineUpdater whose ModelServer starts on
+  // the most recent successful fit (each successful fit() also remembers
+  // its model for exactly this call) and whose learner (streaming MGCPL or
+  // mcdc-online RGCL, per config) inherits that fit's schema and value
+  // dictionaries. Feed observed traffic through OnlineUpdater::observe;
+  // drift-triggered refits and incremental swaps publish back through the
+  // server automatically. Throws std::logic_error when no fit has
+  // succeeded yet.
   std::shared_ptr<serve::OnlineUpdater> serve_online(
       serve::OnlineConfig config = {}) const;
 
  private:
   const Registry* registry_;
-  // Snapshot source for serve(); written under the mutex by fit() (which
-  // stays const and thread-safe — an Engine may be shared across fitting
-  // threads). The mutex member makes Engine non-copyable, which is fine:
-  // it is two pointers, construct another.
+  // Snapshot source for serve_online(); written under the mutex by fit()
+  // (which stays const and thread-safe — an Engine may be shared across
+  // fitting threads). The mutex member makes Engine non-copyable, which is
+  // fine: it is two pointers, construct another.
   mutable std::mutex last_fit_mutex_;
   mutable std::shared_ptr<const Model> last_fit_;
-
-  // The model of the last successful fit; throws std::logic_error
-  // "<caller>: no successful fit to serve" when there is none.
-  std::shared_ptr<const Model> last_fit(const char* caller) const;
 };
 
 }  // namespace mcdc::api

@@ -97,10 +97,6 @@ void Registry::add(MethodInfo info, Factory factory) {
   }
 }
 
-bool Registry::contains(const std::string& key) const {
-  return entries_.count(key) > 0;
-}
-
 const MethodInfo* Registry::info(const std::string& key) const {
   const auto it = entries_.find(key);
   return it == entries_.end() ? nullptr : &it->second.info;

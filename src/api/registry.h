@@ -71,7 +71,6 @@ class Registry {
   // Registers a method; throws std::invalid_argument on a duplicate key.
   void add(MethodInfo info, Factory factory);
 
-  bool contains(const std::string& key) const;
   // nullptr when the key is unknown.
   const MethodInfo* info(const std::string& key) const;
   // All registered methods, sorted by key.

@@ -1,7 +1,5 @@
 #include "common/rng.h"
 
-#include <cmath>
-#include <numbers>
 #include <stdexcept>
 
 namespace mcdc {
@@ -44,26 +42,12 @@ std::uint64_t Rng::below(std::uint64_t bound) {
   return static_cast<std::uint64_t>(m >> 64);
 }
 
-std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
-  if (lo > hi) throw std::invalid_argument("Rng::uniform_int: lo > hi");
-  const auto span = static_cast<std::uint64_t>(hi - lo) + 1;
-  return lo + static_cast<std::int64_t>(below(span));
-}
-
 double Rng::uniform() {
   // 53 high bits -> double in [0, 1).
   return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
 }
 
 double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
-
-double Rng::normal() {
-  double u1 = uniform();
-  while (u1 <= 0.0) u1 = uniform();
-  const double u2 = uniform();
-  return std::sqrt(-2.0 * std::log(u1)) *
-         std::cos(2.0 * std::numbers::pi * u2);
-}
 
 std::size_t Rng::weighted_index(const std::vector<double>& weights) {
   double total = 0.0;
@@ -92,7 +76,5 @@ std::vector<std::size_t> Rng::sample_without_replacement(std::size_t n,
   pool.resize(k);
   return pool;
 }
-
-Rng Rng::split() { return Rng((*this)() ^ 0xa5a5a5a5a5a5a5a5ULL); }
 
 }  // namespace mcdc

@@ -43,17 +43,11 @@ class Rng {
   // Uniform integer in [0, bound) without modulo bias (Lemire's method).
   std::uint64_t below(std::uint64_t bound);
 
-  // Uniform integer in [lo, hi] inclusive.
-  std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
-
   // Uniform double in [0, 1).
   double uniform();
 
   // Uniform double in [lo, hi).
   double uniform(double lo, double hi);
-
-  // Standard normal via Box-Muller (no cached spare; stateless draws).
-  double normal();
 
   // Bernoulli trial with success probability p.
   bool bernoulli(double p) { return uniform() < p; }
@@ -73,9 +67,6 @@ class Rng {
   // k distinct indices sampled uniformly from [0, n) (partial Fisher-Yates).
   std::vector<std::size_t> sample_without_replacement(std::size_t n,
                                                       std::size_t k);
-
-  // Derive an independent child stream (for per-run / per-thread seeding).
-  Rng split();
 
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {

@@ -6,24 +6,6 @@
 
 namespace mcdc::core {
 
-int Dendrogram::node_id(int stage, int cluster) const {
-  if (stage < 0 || stage >= sigma_) {
-    throw std::out_of_range("Dendrogram::node_id: stage out of range");
-  }
-  const auto& level = id_of_[static_cast<std::size_t>(stage)];
-  if (cluster < 0 || static_cast<std::size_t>(cluster) >= level.size()) {
-    throw std::out_of_range("Dendrogram::node_id: cluster out of range");
-  }
-  return level[static_cast<std::size_t>(cluster)];
-}
-
-const std::vector<int>& Dendrogram::cut(int stage) const {
-  if (stage < 0 || stage >= sigma_) {
-    throw std::out_of_range("Dendrogram::cut: stage out of range");
-  }
-  return cuts_[static_cast<std::size_t>(stage)];
-}
-
 double Dendrogram::nesting_consistency(int stage) const {
   if (stage < 0 || stage >= sigma_) {
     throw std::out_of_range("Dendrogram::nesting_consistency: out of range");
@@ -89,13 +71,13 @@ Dendrogram build_dendrogram(const MgcplResult& mgcpl) {
 
   Dendrogram tree;
   tree.sigma_ = sigma;
-  tree.cuts_ = mgcpl.partitions;
-  tree.id_of_.resize(static_cast<std::size_t>(sigma));
+  // [stage][cluster] -> node id
+  std::vector<std::vector<int>> id_of(static_cast<std::size_t>(sigma));
 
   // One node per (stage, cluster).
   for (int j = 0; j < sigma; ++j) {
     const int k = mgcpl.kappa[static_cast<std::size_t>(j)];
-    auto& level = tree.id_of_[static_cast<std::size_t>(j)];
+    auto& level = id_of[static_cast<std::size_t>(j)];
     level.resize(static_cast<std::size_t>(k));
     for (int c = 0; c < k; ++c) {
       DendrogramNode node;
@@ -111,8 +93,8 @@ Dendrogram build_dendrogram(const MgcplResult& mgcpl) {
   for (int j = 0; j < sigma; ++j) {
     const auto& labels = mgcpl.partitions[static_cast<std::size_t>(j)];
     for (std::size_t i = 0; i < n; ++i) {
-      const int id = tree.id_of_[static_cast<std::size_t>(j)]
-                               [static_cast<std::size_t>(labels[i])];
+      const int id = id_of[static_cast<std::size_t>(j)]
+                          [static_cast<std::size_t>(labels[i])];
       ++tree.nodes_[static_cast<std::size_t>(id)].size;
     }
   }
@@ -135,8 +117,8 @@ Dendrogram build_dendrogram(const MgcplResult& mgcpl) {
       const std::size_t best = static_cast<std::size_t>(
           std::max_element(row.begin(), row.end()) - row.begin());
       const int child_id =
-          tree.id_of_[static_cast<std::size_t>(j)][static_cast<std::size_t>(c)];
-      const int parent_id = tree.id_of_[static_cast<std::size_t>(j + 1)][best];
+          id_of[static_cast<std::size_t>(j)][static_cast<std::size_t>(c)];
+      const int parent_id = id_of[static_cast<std::size_t>(j + 1)][best];
       auto& child = tree.nodes_[static_cast<std::size_t>(child_id)];
       auto& parent = tree.nodes_[static_cast<std::size_t>(parent_id)];
       child.parent = parent_id;
@@ -148,7 +130,7 @@ Dendrogram build_dendrogram(const MgcplResult& mgcpl) {
     }
   }
 
-  for (int id : tree.id_of_[static_cast<std::size_t>(sigma - 1)]) {
+  for (int id : id_of[static_cast<std::size_t>(sigma - 1)]) {
     tree.roots_.push_back(id);
   }
   return tree;

@@ -43,13 +43,6 @@ class Dendrogram {
   const std::vector<int>& roots() const { return roots_; }
   int sigma() const { return sigma_; }
 
-  // Node id of (stage, cluster); stages index Gamma (0 = finest).
-  int node_id(int stage, int cluster) const;
-
-  // Label vector at one granularity (a "cut" through the tree). Stage must
-  // be in [0, sigma).
-  const std::vector<int>& cut(int stage) const;
-
   // Mean containment of all nodes at the given stage — how strictly nested
   // that granularity is inside the next coarser one (1.0 = perfect).
   double nesting_consistency(int stage) const;
@@ -67,8 +60,6 @@ class Dendrogram {
 
   std::vector<DendrogramNode> nodes_;
   std::vector<int> roots_;
-  std::vector<std::vector<int>> id_of_;  // [stage][cluster] -> node id
-  std::vector<std::vector<int>> cuts_;   // copy of mgcpl partitions
   int sigma_ = 0;
 };
 

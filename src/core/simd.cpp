@@ -148,6 +148,4 @@ const Kernels& kernels() {
   return *dispatch().table.load(std::memory_order_relaxed);
 }
 
-const Kernels& scalar_kernels() { return kScalarTable; }
-
 }  // namespace mcdc::core::simd

@@ -88,10 +88,6 @@ inline constexpr std::size_t kNoCell = static_cast<std::size_t>(-1);
 // mid-sweep is the caller's bug (see set_level).
 const Kernels& kernels();
 
-// Scalar reference table — the byte-identity baseline the vector paths
-// are tested against. Always available.
-const Kernels& scalar_kernels();
-
 // Internal (simd_avx2.cpp): the AVX2 table, or nullptr when the build
 // target or the running CPU cannot execute it. Use kernels() instead.
 const Kernels* detail_avx2_kernels();

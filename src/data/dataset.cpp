@@ -101,12 +101,6 @@ Dataset::Dataset(std::size_t n, std::size_t d, std::vector<Value> cells,
   cells_ = transpose_to_columns(cells, n_, d_);
 }
 
-int Dataset::max_cardinality() const {
-  int best = 0;
-  for (int m : cardinalities_) best = std::max(best, m);
-  return best;
-}
-
 int Dataset::num_classes() const {
   int best = -1;
   for (int y : labels_) best = std::max(best, y);

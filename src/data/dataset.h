@@ -94,9 +94,6 @@ class Dataset {
   int cardinality(std::size_t r) const { return cardinalities_[r]; }
   const std::vector<int>& cardinalities() const { return cardinalities_; }
 
-  // Largest cardinality over all features.
-  int max_cardinality() const;
-
   Value at(std::size_t i, std::size_t r) const { return cells_[r * n_ + i]; }
   bool is_missing(std::size_t i, std::size_t r) const {
     return at(i, r) == kMissing;

@@ -109,15 +109,4 @@ Dataset syn_n(std::size_t num_objects, std::uint64_t seed) {
   return well_separated(config);
 }
 
-Dataset syn_d(std::size_t num_features, std::uint64_t seed) {
-  WellSeparatedConfig config;
-  config.num_objects = 20000;
-  config.num_features = num_features;
-  config.num_clusters = 3;
-  config.cardinality = 4;
-  config.purity = 0.9;
-  config.seed = seed;
-  return well_separated(config);
-}
-
 }  // namespace mcdc::data

@@ -60,7 +60,4 @@ NestedDataset nested(const NestedConfig& config);
 // The paper's Syn_n: n x 10 features, k* = 3, well separated.
 Dataset syn_n(std::size_t num_objects = 200000, std::uint64_t seed = 7);
 
-// The paper's Syn_d: 20000 x d features, k* = 3, well separated.
-Dataset syn_d(std::size_t num_features = 1000, std::uint64_t seed = 7);
-
 }  // namespace mcdc::data

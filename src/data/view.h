@@ -71,7 +71,6 @@ class DatasetView {
   std::size_t num_features() const { return ds_->num_features(); }
   int cardinality(std::size_t r) const { return ds_->cardinality(r); }
   const std::vector<int>& cardinalities() const { return ds_->cardinalities(); }
-  int max_cardinality() const { return ds_->max_cardinality(); }
 
   Value at(std::size_t i, std::size_t r) const {
     return ds_->at(row_id(i), r);

@@ -147,34 +147,9 @@ double adjusted_rand_index(const std::vector<int>& a,
   return adjusted_rand_index(Contingency(a, b));
 }
 
-double mutual_information(const std::vector<int>& a,
-                          const std::vector<int>& b) {
-  return mutual_information(Contingency(a, b));
-}
-
-double entropy(const std::vector<int>& labels) {
-  const Contingency ct(labels, labels);
-  return entropy_from_sums(ct.row_sums(), ct.total());
-}
-
 double adjusted_mutual_information(const std::vector<int>& a,
                                    const std::vector<int>& b) {
   return adjusted_mutual_information(Contingency(a, b));
-}
-
-double normalized_mutual_information(const std::vector<int>& a,
-                                     const std::vector<int>& b) {
-  const Contingency ct(a, b);
-  const double ha = entropy_from_sums(ct.row_sums(), ct.total());
-  const double hb = entropy_from_sums(ct.col_sums(), ct.total());
-  if (ha == 0.0 && hb == 0.0) return 1.0;
-  const double denom = 0.5 * (ha + hb);
-  if (denom == 0.0) return 0.0;
-  return mutual_information(ct) / denom;
-}
-
-double fowlkes_mallows(const std::vector<int>& a, const std::vector<int>& b) {
-  return fowlkes_mallows(Contingency(a, b));
 }
 
 Scores score_all(const std::vector<int>& predicted,

@@ -1,6 +1,6 @@
 // External cluster validity indices used in the paper's evaluation:
 // ACC (clustering accuracy via optimal label matching), ARI, AMI and the
-// Fowlkes-Mallows score. NMI is included as an extra diagnostic.
+// Fowlkes-Mallows score.
 //
 // All functions take (predicted labels, ground-truth labels) with dense
 // non-negative ids and are symmetric where the underlying index is.
@@ -21,30 +21,18 @@ double accuracy(const std::vector<int>& predicted,
 double adjusted_rand_index(const std::vector<int>& a,
                            const std::vector<int>& b);
 
-// Mutual information between partitions, in nats.
-double mutual_information(const std::vector<int>& a, const std::vector<int>& b);
-
-// Shannon entropy of one partition, in nats.
-double entropy(const std::vector<int>& labels);
-
 // Adjusted Mutual Information with arithmetic-mean normalisation
 // (sklearn's default). Range (-1, 1]; 1 for identical partitions, ~0 for
 // independent ones. Uses the exact hypergeometric expected-MI formula.
 double adjusted_mutual_information(const std::vector<int>& a,
                                    const std::vector<int>& b);
 
-// Normalised Mutual Information (arithmetic mean). Range [0, 1].
-double normalized_mutual_information(const std::vector<int>& a,
-                                     const std::vector<int>& b);
-
-// Fowlkes-Mallows: geometric mean of pairwise precision and recall.
-// Range [0, 1].
-double fowlkes_mallows(const std::vector<int>& a, const std::vector<int>& b);
-
 struct Scores {
   double acc = 0.0;
   double ari = 0.0;
   double ami = 0.0;
+  // Fowlkes-Mallows: geometric mean of pairwise precision and recall.
+  // Range [0, 1].
   double fm = 0.0;
 };
 

@@ -133,8 +133,8 @@ double PartitionProfile::mean_distance(const data::DatasetView& ds,
 
 namespace {
 
-// The five indices over one shared profile (and mode table); the public
-// single-index functions and internal_scores all end here.
+// The five indices over one shared profile (and mode table); internal_scores
+// and categorical_silhouette end here.
 
 double compactness(const data::DatasetView& ds, const std::vector<int>& labels,
                    const PartitionProfile& profile) {
@@ -316,36 +316,10 @@ double davies_bouldin_modes(const data::DatasetView& ds,
 
 }  // namespace
 
-double compactness(const data::DatasetView& ds,
-                   const std::vector<int>& labels) {
-  if (ds.num_objects() == 0) return 0.0;
-  return compactness(ds, labels, PartitionProfile(ds, labels));
-}
-
-double mode_separation(const data::DatasetView& ds,
-                       const std::vector<int>& labels) {
-  const PartitionProfile profile(ds, labels);
-  return mode_separation(mode_table(profile, ds.num_features()),
-                         profile.num_clusters(), ds.num_features());
-}
-
 double categorical_silhouette(const data::DatasetView& ds,
                               const std::vector<int>& labels) {
   if (ds.num_objects() == 0) return 0.0;
   return categorical_silhouette(ds, labels, PartitionProfile(ds, labels));
-}
-
-double category_utility(const data::DatasetView& ds,
-                        const std::vector<int>& labels) {
-  if (ds.num_objects() == 0) return 0.0;
-  return category_utility(ds, PartitionProfile(ds, labels));
-}
-
-double davies_bouldin_modes(const data::DatasetView& ds,
-                            const std::vector<int>& labels) {
-  const PartitionProfile profile(ds, labels);
-  return davies_bouldin_modes(ds, labels, profile,
-                              mode_table(profile, ds.num_features()));
 }
 
 InternalScores internal_scores(const data::DatasetView& ds,

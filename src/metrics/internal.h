@@ -74,14 +74,6 @@ class PartitionProfile {
   std::vector<int> non_null_;         // [r * k + l]
 };
 
-// Mean over objects of the Sec. II-A similarity to their own cluster.
-// Range [0, 1], higher = tighter clusters.
-double compactness(const data::DatasetView& ds, const std::vector<int>& labels);
-
-// Mean normalised Hamming distance between all pairs of cluster modes.
-// Range [0, 1], higher = better separated. 0 when k < 2.
-double mode_separation(const data::DatasetView& ds, const std::vector<int>& labels);
-
 // Histogram-based categorical silhouette, averaged over objects. Range
 // [-1, 1]; objects in singleton clusters contribute 0 (sklearn convention).
 // a(i) = mean_distance(i, own, true); b(i) = the minimum of
@@ -94,28 +86,26 @@ double mode_separation(const data::DatasetView& ds, const std::vector<int>& labe
 double categorical_silhouette(const data::DatasetView& ds,
                               const std::vector<int>& labels);
 
-// Category utility of the partition. Higher is better; 0 for k = 1 and for
-// clusters that match the global value distribution.
-double category_utility(const data::DatasetView& ds,
-                        const std::vector<int>& labels);
-
-// Davies-Bouldin analogue: mean over clusters of the worst
-// (scatter_l + scatter_t) / mode_distance(l, t) ratio, with scatter the
-// mean member-to-mode Hamming distance. Lower is better; +inf when two
-// cluster modes coincide; 0 when k < 2.
-double davies_bouldin_modes(const data::DatasetView& ds,
-                            const std::vector<int>& labels);
-
 struct InternalScores {
+  // Mean over objects of the Sec. II-A similarity to their own cluster.
+  // Range [0, 1], higher = tighter clusters.
   double compactness = 0.0;
+  // Mean normalised Hamming distance between all pairs of cluster modes.
+  // Range [0, 1], higher = better separated. 0 when k < 2.
   double separation = 0.0;
+  // categorical_silhouette, bit for bit.
   double silhouette = 0.0;
+  // Category utility of the partition. Higher is better; 0 for k = 1 and
+  // for clusters that match the global value distribution.
   double category_utility = 0.0;
+  // Davies-Bouldin analogue: mean over clusters of the worst
+  // (scatter_l + scatter_t) / mode_distance(l, t) ratio, with scatter the
+  // mean member-to-mode Hamming distance. Lower is better; +inf when two
+  // cluster modes coincide; 0 when k < 2.
   double davies_bouldin = 0.0;
 };
 
-// All five internal indices from one PartitionProfile and one mode table;
-// each field equals the single-index function bit for bit.
+// All five internal indices from one PartitionProfile and one mode table.
 InternalScores internal_scores(const data::DatasetView& ds,
                                const std::vector<int>& labels);
 

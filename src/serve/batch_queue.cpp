@@ -98,9 +98,4 @@ void BatchQueue::close() {
   consumer_cv_.notify_all();
 }
 
-std::size_t BatchQueue::pending() const {
-  std::lock_guard lock(mutex_);
-  return pending_locked();
-}
-
 }  // namespace mcdc::serve

@@ -79,15 +79,13 @@ class BatchQueue {
   // Rejects future submits and wakes the consumer to drain what remains.
   void close();
 
-  std::size_t pending() const;
-
  private:
   std::size_t pending_locked() const;  // requires mutex_ held
 
   const std::size_t row_width_;
   const std::size_t max_batch_;
 
-  mutable std::mutex mutex_;
+  std::mutex mutex_;
   std::condition_variable producer_cv_;  // space available
   std::condition_variable consumer_cv_;  // work available / closed
   std::vector<data::Value> rows_;        // staged rows, row-major

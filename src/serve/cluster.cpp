@@ -146,70 +146,11 @@ std::future<int> ServingCluster::submit(const data::Value* row) {
   return shards_[s]->submit(row);
 }
 
-std::vector<int> ServingCluster::predict(const data::DatasetView& ds) {
-  // Encode once against the newest published generation (ties to the
-  // lower shard id), then let every shard score its own slice against its
-  // own snapshot — mid-roll, this answers exactly as routed single-row
-  // traffic would.
-  std::shared_ptr<const api::Model> reference;
-  std::uint64_t reference_generation = 0;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::uint64_t gen = shard_generation_[s].load();
-    std::shared_ptr<const api::Model> snap = shards_[s]->snapshot();
-    if (snap != nullptr && gen > reference_generation) {
-      reference = std::move(snap);
-      reference_generation = gen;
-    }
-  }
-  if (reference == nullptr) {
-    return std::vector<int>(ds.num_objects(), -1);
-  }
-  const std::vector<std::vector<data::Value>> remap =
-      reference->encoding_map(ds);
-
-  const std::size_t n = ds.num_objects();
-  std::vector<std::vector<data::Value>> shard_rows(shards_.size());
-  std::vector<std::vector<std::size_t>> shard_members(shards_.size());
-  std::vector<data::Value> encoded(row_width_);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t r = 0; r < row_width_; ++r) {
-      const data::Value v = ds.at(i, r);
-      encoded[r] = v == data::kMissing
-                       ? data::kMissing
-                       : remap[r][static_cast<std::size_t>(v)];
-    }
-    const std::size_t s = route(encoded.data());
-    shard_rows[s].insert(shard_rows[s].end(), encoded.begin(), encoded.end());
-    shard_members[s].push_back(i);
-  }
-
-  std::vector<int> labels(n, -1);
-  std::vector<int> slice;
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const std::size_t count = shard_members[s].size();
-    if (count == 0) continue;
-    routed_[s].fetch_add(count, std::memory_order_relaxed);
-    const std::shared_ptr<const api::Model> snap = shards_[s]->snapshot();
-    if (snap == nullptr) continue;  // empty shard answers -1, as submit()
-    slice.assign(count, -1);
-    snap->predict_rows(shard_rows[s].data(), count, slice.data());
-    for (std::size_t j = 0; j < count; ++j) {
-      labels[shard_members[s][j]] = slice[j];
-    }
-  }
-  return labels;
-}
-
-void ServingCluster::check_width(
-    const std::shared_ptr<const api::Model>& next, const char* context) const {
-  if (next != nullptr && next->num_features() != row_width_) {
-    throw std::invalid_argument(
-        api::feature_width_message(context, row_width_, next->num_features()));
-  }
-}
-
 void ServingCluster::rolling_swap(std::shared_ptr<const api::Model> next) {
-  check_width(next, "ServingCluster::rolling_swap");
+  if (next != nullptr && next->num_features() != row_width_) {
+    throw std::invalid_argument(api::feature_width_message(
+        "ServingCluster::rolling_swap", row_width_, next->num_features()));
+  }
   std::lock_guard roll(roll_mutex_);
   const std::uint64_t generation = target_generation_.load() + 1;
   target_generation_.store(generation);
@@ -221,20 +162,6 @@ void ServingCluster::rolling_swap(std::shared_ptr<const api::Model> next) {
   }
   last_window_seconds_.store(window.elapsed_seconds());
   rolling_swaps_.fetch_add(1, std::memory_order_relaxed);
-}
-
-void ServingCluster::swap_shard(std::size_t s,
-                                std::shared_ptr<const api::Model> next) {
-  if (s >= shards_.size()) {
-    throw std::invalid_argument("ServingCluster::swap_shard: no shard " +
-                                std::to_string(s));
-  }
-  check_width(next, "ServingCluster::swap_shard");
-  std::lock_guard roll(roll_mutex_);
-  const std::uint64_t generation = target_generation_.load() + 1;
-  target_generation_.store(generation);
-  shards_[s]->swap(std::move(next));
-  shard_generation_[s].store(generation);
 }
 
 GenerationStatus ServingCluster::generations() const {

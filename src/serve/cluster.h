@@ -26,11 +26,10 @@
 // batches on untouched shards keep scoring their old snapshot, so the
 // cluster passes through an explicit mixed-generation window whose length
 // is one shard-by-shard sweep (rolls are serialised by a mutex, so the
-// window is bounded; generations() reports it live). swap_shard() is the
-// surgical form: one shard moves to a fresh generation, and the cluster
-// stays mixed until a later roll realigns it. ClusterConfig::on_shard_swap
-// lets tests observe the window from inside: it runs on the rolling
-// thread right after each shard flips, before the next one does.
+// window is bounded; generations() reports it live).
+// ClusterConfig::on_shard_swap lets tests observe the window from inside:
+// it runs on the rolling thread right after each shard flips, before the
+// next one does.
 //
 // stats() aggregates per-shard ServeEvidence into the cluster view:
 // summed counters, merged latency samples (percentiles over the union —
@@ -65,8 +64,7 @@ struct ClusterConfig {
   // Test/observability hook: called on the rolling thread immediately
   // after shard s republishes during rolling_swap (mid-window — other
   // shards still hold the previous generation). Must not call back into
-  // rolling_swap/swap_shard (the roll mutex is held). Never called for
-  // swap_shard.
+  // rolling_swap (the roll mutex is held).
   std::function<void(std::size_t)> on_shard_swap;
 };
 
@@ -108,23 +106,11 @@ class ServingCluster {
   // The asynchronous form: route + enqueue now, redeem later.
   std::future<int> submit(const data::Value* row);
 
-  // Whole-dataset predict: rows are re-encoded once against the newest
-  // generation's snapshot (dictionary translation, as Model::predict),
-  // routed, and each shard scores its slice against its own snapshot in
-  // one sweep — so during a mixed window this observes exactly what
-  // single-row traffic would. Rows routed to an empty shard answer -1.
-  std::vector<int> predict(const data::DatasetView& ds);
-
   // Rolls `next` across every shard in index order and returns when all
   // shards serve it. Width-validated before anything publishes (throws
   // std::invalid_argument naming both counts; no phantom generation).
   // Concurrent rolls serialise; predicts never block.
   void rolling_swap(std::shared_ptr<const api::Model> next);
-
-  // Publishes `next` to one shard only, as a new target generation: the
-  // cluster becomes (and generations() reports) mixed until a full
-  // rolling_swap realigns it. Width-validated like rolling_swap.
-  void swap_shard(std::size_t s, std::shared_ptr<const api::Model> next);
 
   GenerationStatus generations() const;
 
@@ -141,8 +127,6 @@ class ServingCluster {
 
  private:
   std::size_t hash_route(const data::Value* row) const;
-  void check_width(const std::shared_ptr<const api::Model>& next,
-                   const char* context) const;
 
   ClusterConfig config_;
   std::size_t row_width_ = 0;
@@ -168,7 +152,7 @@ class ServingCluster {
   // mcdc-lint: allow(D5) single-writer stats() timing; reporting only
   std::atomic<double> last_window_seconds_{0.0};
 
-  // Requests routed per shard (predict/submit and bulk rows alike).
+  // Requests routed per shard (predict and submit).
   std::unique_ptr<std::atomic<std::uint64_t>[]> routed_;
 };
 

@@ -64,14 +64,6 @@ std::future<int> ModelServer::submit(const data::Value* row) {
   return queue_->submit(row);
 }
 
-std::vector<int> ModelServer::predict(const data::DatasetView& ds) const {
-  const std::shared_ptr<const api::Model> model = snapshot();
-  if (model == nullptr) {
-    return std::vector<int>(ds.num_objects(), -1);
-  }
-  return model->predict(ds);
-}
-
 void ModelServer::dispatch_loop() {
   BatchQueue::Batch batch;
   std::vector<int> labels;

@@ -11,16 +11,13 @@
 // shared_ptr keeps it alive), new batches see the new model, and nobody
 // stalls behind a sweep.
 //
-// Two predict paths:
-//   - predict(DatasetView) scores a whole dataset against ONE snapshot
-//     (never a torn sweep across a swap) — the bulk path.
-//   - submit()/predict(row) enqueue single rows into a BatchQueue; a
-//     dispatcher thread coalesces them (up to max_batch, lingering
-//     BatchQueue::kLingerUs) and answers each batch with one frozen
-//     Model::predict_rows sweep fanned over the shared pool. Rows must
-//     already be in the model's encoding (Model::encoding_map translates
-//     foreign sources); out-of-domain codes score as missing, exactly as
-//     predict_row documents.
+// submit()/predict(row) enqueue single rows into a BatchQueue; a
+// dispatcher thread coalesces them (up to max_batch, lingering
+// BatchQueue::kLingerUs) and answers each batch with one frozen
+// Model::predict_rows sweep fanned over the shared pool, against ONE
+// snapshot (never a torn sweep across a swap). Rows must already be in
+// the model's encoding (Model::encoding_map translates foreign sources);
+// out-of-domain codes score as missing, exactly as predict_row documents.
 //
 // Contract mirrors StreamingMgcpl::classify: with no published snapshot
 // every request answers -1 — there is nothing to assign to, and pretending
@@ -61,8 +58,8 @@ struct ServeConfig {
   std::size_t max_batch = BatchQueue::kDefaultMaxBatch;
   // Feature count served when constructed without a model (a server that
   // starts empty and gets its first snapshot via swap()); ignored when a
-  // model is given. 0 with no model = single-row path disabled until
-  // construction with a width.
+  // model is given. 0 with no model = a server that takes swaps but no
+  // requests (submit throws std::logic_error).
   std::size_t row_width = 0;
 };
 
@@ -102,10 +99,6 @@ class ModelServer {
   int predict(const data::Value* row);
   // The asynchronous form: enqueue now, redeem the label later.
   std::future<int> submit(const data::Value* row);
-
-  // Whole-dataset predict against one snapshot load (dictionary re-coding
-  // included, as Model::predict). All -1 while the server is empty.
-  std::vector<int> predict(const data::DatasetView& ds) const;
 
   std::size_t row_width() const { return row_width_; }
 

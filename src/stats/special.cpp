@@ -81,8 +81,6 @@ double beta_cont_fraction(double a, double b, double x) {
 
 }  // namespace
 
-double normal_cdf(double z) { return 0.5 * std::erfc(-z / std::sqrt(2.0)); }
-
 double reg_lower_gamma(double a, double x) {
   if (a <= 0.0 || x < 0.0) {
     throw std::invalid_argument("reg_lower_gamma: need a > 0, x >= 0");
@@ -122,12 +120,6 @@ double f_sf(double x, double df1, double df2) {
   if (x <= 0.0) return 1.0;
   // P(F > x) = I_{df2 / (df2 + df1 x)}(df2/2, df1/2).
   return reg_incomplete_beta(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * x));
-}
-
-double t_two_tailed(double t, double df) {
-  if (df <= 0.0) throw std::invalid_argument("t_two_tailed: need df > 0");
-  if (!std::isfinite(t)) return 0.0;
-  return reg_incomplete_beta(df / 2.0, 0.5, df / (df + t * t));
 }
 
 }  // namespace mcdc::stats

@@ -1,14 +1,11 @@
 // Special functions backing the distribution tails used by the statistical
-// tests: regularised incomplete gamma / beta, and the chi-square, Student-t
-// and F survival functions built on them. Implemented here (series +
+// tests: regularised incomplete gamma / beta, and the chi-square and F
+// survival functions built on them. Implemented here (series +
 // continued fractions, Numerical-Recipes style) so p-values do not depend
 // on platform-specific library extensions.
 #pragma once
 
 namespace mcdc::stats {
-
-// Standard normal CDF.
-double normal_cdf(double z);
 
 // Regularised lower incomplete gamma P(a, x), a > 0, x >= 0. Range [0, 1].
 double reg_lower_gamma(double a, double x);
@@ -21,8 +18,4 @@ double chi_square_sf(double x, double df);
 
 // P(X > x) for X ~ F(df1, df2), x >= 0.
 double f_sf(double x, double df1, double df2);
-
-// Two-tailed p-value for T ~ Student-t with df degrees of freedom.
-double t_two_tailed(double t, double df);
-
 }  // namespace mcdc::stats

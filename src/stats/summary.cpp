@@ -25,16 +25,4 @@ double RunningStats::stddev() const {
   return std::sqrt(m2_ / static_cast<double>(count_));
 }
 
-double mean_of(const std::vector<double>& xs) {
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s.mean();
-}
-
-double stddev_of(const std::vector<double>& xs) {
-  RunningStats s;
-  for (double x : xs) s.add(x);
-  return s.stddev();
-}
-
 }  // namespace mcdc::stats

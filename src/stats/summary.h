@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <vector>
 
 namespace mcdc::stats {
 
@@ -25,8 +24,5 @@ class RunningStats {
   double min_ = 0.0;
   double max_ = 0.0;
 };
-
-double mean_of(const std::vector<double>& xs);
-double stddev_of(const std::vector<double>& xs);
 
 }  // namespace mcdc::stats

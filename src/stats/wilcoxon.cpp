@@ -122,9 +122,4 @@ WilcoxonResult wilcoxon_signed_rank(const std::vector<double>& differences) {
   return result;
 }
 
-bool significantly_different(const std::vector<double>& a,
-                             const std::vector<double>& b, double alpha) {
-  return wilcoxon_signed_rank(a, b).p_value < alpha;
-}
-
 }  // namespace mcdc::stats

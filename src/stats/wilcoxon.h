@@ -29,9 +29,4 @@ WilcoxonResult wilcoxon_signed_rank(const std::vector<double>& a,
 // Test directly on precomputed differences.
 WilcoxonResult wilcoxon_signed_rank(const std::vector<double>& differences);
 
-// Convenience for Table IV: true when the two-tailed test rejects the null
-// at significance level alpha (paper: alpha = 0.1).
-bool significantly_different(const std::vector<double>& a,
-                             const std::vector<double>& b, double alpha = 0.1);
-
 }  // namespace mcdc::stats

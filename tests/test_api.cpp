@@ -107,8 +107,8 @@ TEST(Json, AsIntRejectsOutOfRangeIntegers) {
 // --- Registry ---------------------------------------------------------------
 
 TEST(Registry, KnownKeysResolve) {
-  EXPECT_TRUE(registry().contains("kmodes"));
-  EXPECT_TRUE(registry().contains("mcdc"));
+  EXPECT_NE(registry().info("kmodes"), nullptr);
+  EXPECT_NE(registry().info("mcdc"), nullptr);
   const auto kmodes = registry().create("kmodes");
   ASSERT_NE(kmodes, nullptr);
   EXPECT_EQ(kmodes->name(), "K-MODES");
@@ -117,7 +117,6 @@ TEST(Registry, KnownKeysResolve) {
 }
 
 TEST(Registry, UnknownKeyThrows) {
-  EXPECT_FALSE(registry().contains("no-such-method"));
   EXPECT_EQ(registry().info("no-such-method"), nullptr);
   EXPECT_THROW(registry().create("no-such-method"), std::invalid_argument);
 }
@@ -175,7 +174,6 @@ TEST(Registry, TypedParamAccessorsRejectBadValues) {
 }
 
 TEST(Registry, DistributedMethodIsCatalogued) {
-  ASSERT_TRUE(registry().contains("mcdc-dist"));
   const MethodInfo* info = registry().info("mcdc-dist");
   ASSERT_NE(info, nullptr);
   EXPECT_EQ(info->family, MethodFamily::distributed);

@@ -26,7 +26,6 @@ TEST(DatasetBuilder, BasicShapeAndEncoding) {
   EXPECT_EQ(ds.num_features(), 2u);
   EXPECT_EQ(ds.cardinality(0), 3);  // red, blue, green
   EXPECT_EQ(ds.cardinality(1), 2);  // big, small
-  EXPECT_EQ(ds.max_cardinality(), 3);
   // First-seen-order coding.
   EXPECT_EQ(ds.at(0, 0), 0);
   EXPECT_EQ(ds.at(1, 0), 1);
@@ -142,7 +141,6 @@ TEST(DatasetView, IdentityViewMirrorsDataset) {
   EXPECT_EQ(view.num_objects(), ds.num_objects());
   EXPECT_EQ(view.num_features(), ds.num_features());
   EXPECT_EQ(view.cardinalities(), ds.cardinalities());
-  EXPECT_EQ(view.max_cardinality(), ds.max_cardinality());
   for (std::size_t i = 0; i < ds.num_objects(); ++i) {
     EXPECT_EQ(view.row_id(i), i);
     for (std::size_t r = 0; r < ds.num_features(); ++r) {

@@ -9,7 +9,6 @@
 //     "mcdc" (CAME assignment sweeps + refinement),
 //   - Model::predict over a foreign dataset (dictionary re-coding path),
 //   - StreamingMgcpl::classify over a window,
-//   - active-learning select_queries (margin sweeps),
 //   - serve::ModelServer batched predicts (BatchQueue -> predict_rows),
 //   - the full serve::OnlineUpdater loop (observe -> drift -> swap/refit)
 //     over a fixed two-act replay, snapshot predictions and every evidence
@@ -23,8 +22,7 @@
 // Scores are pinned too: the IEEE-754 bit patterns of every internal and
 // external index and every estimate_k candidate silhouette, at each SIMD
 // dispatch level (the silhouette sweep runs through the kernel table), and
-// of every anomaly score and query uncertainty on an identity and on an
-// indirect view.
+// of every anomaly score on an identity and on an indirect view.
 //
 // The width-1 results are additionally pinned as FNV-1a goldens (the same
 // hash and guard as the 18-method table in test_profile_set.cpp): a moved
@@ -46,7 +44,6 @@
 #include "api/engine.h"
 #include "common/thread_pool.h"
 #include "core/simd.h"
-#include "core/active.h"
 #include "core/anomaly.h"
 #include "core/kestimate.h"
 #include "core/mgcpl.h"
@@ -199,28 +196,6 @@ TEST(ThreadDeterminism, StreamingClassifyIsWidthInvariant) {
 #if defined(__linux__) && defined(__GLIBC__)
   EXPECT_EQ(fnv1a(kFnvSeed, labels), 0x3e88a1b7bdc27525ULL)
       << "single-thread classify labels drifted";
-#endif
-}
-
-TEST(ThreadDeterminism, ActiveLearningMarginsAreWidthInvariant) {
-  const data::Dataset ds = fit_dataset();
-  const core::MgcplResult mgcpl = core::Mgcpl().run(ds, 17);
-  const std::vector<int> queries =
-      sweep_widths("select_queries", [&] {
-        core::QuerySelectionConfig config;
-        config.budget = 24;
-        const core::QuerySelection selection =
-            core::select_queries(ds, mgcpl, config);
-        std::vector<int> out;
-        out.reserve(selection.queries.size());
-        for (const std::size_t q : selection.queries) {
-          out.push_back(static_cast<int>(q));
-        }
-        return out;
-      });
-#if defined(__linux__) && defined(__GLIBC__)
-  EXPECT_EQ(fnv1a(kFnvSeed, queries), 0x952d8a1f33f63346ULL)
-      << "single-thread query ranking drifted";
 #endif
 }
 
@@ -661,25 +636,7 @@ std::uint64_t anomaly_hash(std::uint64_t h, const data::DatasetView& view) {
   return h;
 }
 
-// Row-op golden: the two consumers of ProfileSet's per-row scorers that no
-// registry method reaches, hashed bit for bit — score_anomalies (as
-// anomaly_hash) and select_queries (score_all margins: the bits of every
-// uncertainty, then the queries). One MGCPL analysis per view feeds both.
-std::uint64_t row_op_hash(std::uint64_t h, const data::DatasetView& view) {
-  h = anomaly_hash(h, view);
-  const core::MgcplResult mgcpl = core::Mgcpl().run(view, 17);
-  EXPECT_GE(mgcpl.kappa.front(), 2) << "no margins to score";
-  core::QuerySelectionConfig config;
-  config.budget = 40;
-  const core::QuerySelection selection =
-      core::select_queries(view, mgcpl, config);
-  for (const double u : selection.uncertainty) h = fnv1a_bits(h, {u});
-  for (const std::size_t q : selection.queries) h = fnv1a_u64(h, {q});
-  return h;
-}
-
-// The row-op table: 900 x 10 nested rows with 6% missing cells.
-data::Dataset row_op_table() {
+TEST(RowOpDeterminism, AnomalyScoresArePinnedAtBothDispatchLevels) {
   data::NestedConfig config;
   config.num_objects = 900;
   config.num_features = 10;
@@ -689,17 +646,11 @@ data::Dataset row_op_table() {
   config.cardinality = 12;
   config.purity = 0.85;
   config.seed = 2001;
-  return data::with_missing_cells(data::nested(config).dataset, 0.06, 2002);
-}
-
-// Hashes `row_hash` over the identity view of `ds` and over an indirect
-// view of it, under each kernel table, and returns the scalar hash after
-// checking the two tables agree. The indirect view visits every row once
-// in a shuffled order (389 is coprime to n), then the first third of that
-// order a second time.
-std::uint64_t row_op_levels(
-    const data::Dataset& ds, const char* what,
-    std::uint64_t (*row_hash)(std::uint64_t, const data::DatasetView&)) {
+  const data::Dataset ds =
+      data::with_missing_cells(data::nested(config).dataset, 0.06, 2002);
+  ASSERT_TRUE(ds.has_missing());
+  // The indirect view visits every row once in a shuffled order (389 is
+  // coprime to n), then the first third of that order a second time.
   const std::size_t n = ds.num_objects();
   std::vector<std::size_t> rows(n + n / 3);
   for (std::size_t j = 0; j < rows.size(); ++j) rows[j] = (j * 389 + 7) % n;
@@ -711,33 +662,15 @@ std::uint64_t row_op_levels(
        {core::simd::Level::kScalar, core::simd::Level::kAvx2}) {
     core::simd::set_level(level);
     std::uint64_t& h = hashes[static_cast<std::size_t>(level)];
-    h = row_hash(h, ds);
-    h = row_hash(h, shuffled);
+    h = anomaly_hash(h, ds);
+    h = anomaly_hash(h, shuffled);
   }
   core::simd::set_level(entry);
   EXPECT_EQ(hashes[1], hashes[0])
-      << what << " diverged between the scalar and "
+      << "anomaly scores diverged between the scalar and "
       << core::simd::level_name(core::simd::level()) << " kernel tables";
-  return hashes[0];
-}
-
-TEST(RowOpDeterminism, AnomalyScoresArePinnedAtBothDispatchLevels) {
-  const data::Dataset ds = row_op_table();
-  ASSERT_TRUE(ds.has_missing());
-  const std::uint64_t h = row_op_levels(ds, "anomaly scores", anomaly_hash);
 #if defined(__linux__) && defined(__GLIBC__)
-  EXPECT_EQ(h, 0xe4339875c8827cb8ULL) << "anomaly scores drifted";
-#endif
-}
-
-TEST(RowOpDeterminism, AnomalyScoresAndQueryMarginsArePinnedAtBothDispatchLevels) {
-  const data::Dataset ds = row_op_table();
-  ASSERT_TRUE(ds.has_missing());
-  const std::uint64_t h =
-      row_op_levels(ds, "anomaly scores or query margins", row_op_hash);
-#if defined(__linux__) && defined(__GLIBC__)
-  EXPECT_EQ(h, 0xef277c518aa69b22ULL)
-      << "anomaly scores or query margins drifted";
+  EXPECT_EQ(hashes[0], 0xe4339875c8827cb8ULL) << "anomaly scores drifted";
 #endif
 }
 

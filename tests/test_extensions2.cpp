@@ -1,6 +1,6 @@
 // Tests for the analysis extensions built on MGCPL: dendrogram export,
-// k estimation, anomaly scoring, active-learning hooks, bootstrap CIs,
-// noise injection and the extension datasets.
+// k estimation, anomaly scoring, noise injection and the extension
+// datasets.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "core/active.h"
 #include "core/anomaly.h"
 #include "core/dendrogram.h"
 #include "core/kestimate.h"
@@ -18,7 +17,6 @@
 #include "data/synthetic.h"
 #include "data/uci_extra.h"
 #include "metrics/indices.h"
-#include "stats/bootstrap.h"
 
 namespace mcdc {
 namespace {
@@ -39,6 +37,14 @@ core::MgcplResult toy_mgcpl() {
 
 // --- Dendrogram ------------------------------------------------------------------
 
+// Id of the node at (stage, cluster); -1 when the tree has none.
+int node_id(const core::Dendrogram& tree, int stage, int cluster) {
+  for (const auto& node : tree.nodes()) {
+    if (node.stage == stage && node.cluster == cluster) return node.id;
+  }
+  return -1;
+}
+
 TEST(Dendrogram, StructureOfToyNesting) {
   const auto tree = core::build_dendrogram(toy_mgcpl());
   EXPECT_EQ(tree.sigma(), 2);
@@ -48,20 +54,14 @@ TEST(Dendrogram, StructureOfToyNesting) {
   // Fine clusters 0, 1 attach to coarse 0; 2 to coarse 1; 3 (3 of its 2
   // members... objects 6, 7 -> coarse {1, 0}) splits evenly — majority is
   // implementation-tie-broken to the first maximum (coarse 0).
-  const auto& n0 = tree.nodes()[static_cast<std::size_t>(tree.node_id(0, 0))];
-  EXPECT_EQ(n0.parent, tree.node_id(1, 0));
+  ASSERT_GE(node_id(tree, 0, 0), 0);
+  ASSERT_GE(node_id(tree, 0, 3), 0);
+  const auto& n0 = tree.nodes()[static_cast<std::size_t>(node_id(tree, 0, 0))];
+  EXPECT_EQ(n0.parent, node_id(tree, 1, 0));
   EXPECT_DOUBLE_EQ(n0.containment, 1.0);
-  const auto& n3 = tree.nodes()[static_cast<std::size_t>(tree.node_id(0, 3))];
+  const auto& n3 = tree.nodes()[static_cast<std::size_t>(node_id(tree, 0, 3))];
   EXPECT_DOUBLE_EQ(n3.containment, 0.5);
   EXPECT_EQ(n3.size, 2u);
-}
-
-TEST(Dendrogram, CutsMatchPartitions) {
-  const auto mgcpl = toy_mgcpl();
-  const auto tree = core::build_dendrogram(mgcpl);
-  EXPECT_EQ(tree.cut(0), mgcpl.partitions[0]);
-  EXPECT_EQ(tree.cut(1), mgcpl.partitions[1]);
-  EXPECT_THROW(tree.cut(2), std::out_of_range);
 }
 
 TEST(Dendrogram, NestingConsistency) {
@@ -236,114 +236,6 @@ TEST(Anomaly, StageSelectionAndValidation) {
   config.stage = 0;
   config.rarity_weight = 1.5;
   EXPECT_THROW(core::score_anomalies(nd.dataset, mgcpl, config),
-               std::invalid_argument);
-}
-
-// --- Active learning -----------------------------------------------------------------
-
-TEST(Active, QueriesRespectBudgetAndAreDistinct) {
-  const auto nd = data::nested({});
-  const auto mgcpl = core::Mgcpl().run(nd.dataset, 1);
-  core::QuerySelectionConfig config;
-  config.budget = 12;
-  const auto selection = core::select_queries(nd.dataset, mgcpl, config);
-  EXPECT_LE(selection.queries.size(), 12u);
-  EXPECT_GE(selection.queries.size(), 1u);
-  const std::set<std::size_t> unique(selection.queries.begin(),
-                                     selection.queries.end());
-  EXPECT_EQ(unique.size(), selection.queries.size());
-  ASSERT_EQ(selection.uncertainty.size(), nd.dataset.num_objects());
-  for (double u : selection.uncertainty) {
-    EXPECT_GE(u, 0.0);
-    EXPECT_LE(u, 1.0);
-  }
-}
-
-TEST(Active, PropagationFromFewLabelsBeatsBudgetAlone) {
-  const auto nd = data::nested({});
-  const auto& truth = nd.dataset.labels();
-  const auto mgcpl = core::Mgcpl().run(nd.dataset, 1);
-  core::QuerySelectionConfig config;
-  config.budget = 24;  // ~4% of the data
-  const auto selection = core::select_queries(nd.dataset, mgcpl, config);
-  std::vector<int> expert;
-  expert.reserve(selection.queries.size());
-  for (std::size_t q : selection.queries) expert.push_back(truth[q]);
-  const auto propagated =
-      core::propagate_labels(mgcpl, selection.queries, expert);
-  // Propagated labels classify far more objects correctly than were paid
-  // for (label efficiency, the future-work claim).
-  std::size_t correct = 0;
-  for (std::size_t i = 0; i < truth.size(); ++i) {
-    if (propagated[i] == truth[i]) ++correct;
-  }
-  EXPECT_GT(correct, selection.queries.size() * 5);
-  EXPECT_GT(static_cast<double>(correct) / static_cast<double>(truth.size()),
-            0.7);
-}
-
-TEST(Active, PropagationValidation) {
-  const auto mgcpl = toy_mgcpl();
-  // Queried object 0 with label 1: its fine cluster {0, 1} inherits 1; the
-  // coarse cluster spreads it to the rest of coarse cluster 0.
-  const auto labels = core::propagate_labels(mgcpl, {0}, {1}, 9);
-  EXPECT_EQ(labels[0], 1);
-  EXPECT_EQ(labels[1], 1);
-  EXPECT_EQ(labels[3], 1);  // same coarse cluster
-  // Objects in coarse cluster 1 are unreachable -> fallback.
-  EXPECT_EQ(labels[4], 9);
-  EXPECT_THROW(core::propagate_labels(mgcpl, {0, 1}, {0}, 0),
-               std::invalid_argument);
-  EXPECT_THROW(core::propagate_labels(mgcpl, {0}, {-2}, 0),
-               std::invalid_argument);
-}
-
-// --- Bootstrap ------------------------------------------------------------------------
-
-TEST(Bootstrap, IntervalCoversTrueDifference) {
-  // a - b has true mean 0.1; the CI should cover it and exclude zero.
-  std::vector<double> a, b;
-  Rng rng(21);
-  for (int i = 0; i < 60; ++i) {
-    const double base = rng.uniform();
-    a.push_back(base + 0.1 + 0.01 * rng.normal());
-    b.push_back(base);
-  }
-  const auto ci = stats::paired_bootstrap(a, b);
-  EXPECT_NEAR(ci.estimate, 0.1, 0.02);
-  EXPECT_LE(ci.lower, ci.estimate);
-  EXPECT_GE(ci.upper, ci.estimate);
-  EXPECT_TRUE(ci.excludes_zero());
-  EXPECT_LT(ci.fraction_non_positive, 0.01);
-}
-
-TEST(Bootstrap, NoDifferenceIncludesZero) {
-  std::vector<double> a, b;
-  Rng rng(22);
-  for (int i = 0; i < 60; ++i) {
-    a.push_back(rng.uniform());
-    b.push_back(rng.uniform());
-  }
-  const auto ci = stats::paired_bootstrap(a, b);
-  EXPECT_FALSE(ci.excludes_zero());
-  EXPECT_GT(ci.fraction_non_positive, 0.05);
-}
-
-TEST(Bootstrap, DeterministicGivenSeed) {
-  const std::vector<double> sample = {0.1, 0.5, 0.3, 0.9, 0.2, 0.7};
-  const auto first = stats::mean_bootstrap(sample);
-  const auto second = stats::mean_bootstrap(sample);
-  EXPECT_DOUBLE_EQ(first.lower, second.lower);
-  EXPECT_DOUBLE_EQ(first.upper, second.upper);
-}
-
-TEST(Bootstrap, Validation) {
-  EXPECT_THROW(stats::mean_bootstrap({}), std::invalid_argument);
-  EXPECT_THROW(stats::paired_bootstrap({1.0}, {1.0, 2.0}),
-               std::invalid_argument);
-  stats::BootstrapConfig config;
-  config.confidence = 1.5;
-  EXPECT_THROW(stats::mean_bootstrap({1.0, 2.0}, config),
                std::invalid_argument);
 }
 

@@ -71,24 +71,24 @@ TEST(PartitionProfile, MissingCellsExcluded) {
 
 TEST(Compactness, PerfectBlocksScoreOne) {
   const auto ds = two_blocks();
-  EXPECT_DOUBLE_EQ(compactness(ds, kBlockLabels), 1.0);
+  EXPECT_DOUBLE_EQ(internal_scores(ds, kBlockLabels).compactness, 1.0);
 }
 
 TEST(Compactness, MergedBlocksScoreHalf) {
   // One cluster holding both pure blocks: every feature matches half the
   // members -> similarity 0.5.
   const auto ds = two_blocks();
-  EXPECT_DOUBLE_EQ(compactness(ds, {0, 0, 0, 0, 0, 0}), 0.5);
+  EXPECT_DOUBLE_EQ(internal_scores(ds, {0, 0, 0, 0, 0, 0}).compactness, 0.5);
 }
 
 TEST(ModeSeparation, DisjointBlocksFullySeparated) {
   const auto ds = two_blocks();
-  EXPECT_DOUBLE_EQ(mode_separation(ds, kBlockLabels), 1.0);
+  EXPECT_DOUBLE_EQ(internal_scores(ds, kBlockLabels).separation, 1.0);
 }
 
 TEST(ModeSeparation, SingleClusterIsZero) {
   const auto ds = two_blocks();
-  EXPECT_DOUBLE_EQ(mode_separation(ds, {0, 0, 0, 0, 0, 0}), 0.0);
+  EXPECT_DOUBLE_EQ(internal_scores(ds, {0, 0, 0, 0, 0, 0}).separation, 0.0);
 }
 
 // --- Silhouette -----------------------------------------------------------------
@@ -133,12 +133,14 @@ TEST(CategoryUtility, PerfectBlocks) {
   // per feature (3 features); globally each value has P 0.5 -> sum 0.5 per
   // feature. CU = (1/2) * [0.5*3*(1-0.5) + 0.5*3*(1-0.5)] = 0.75.
   const auto ds = two_blocks();
-  EXPECT_NEAR(category_utility(ds, kBlockLabels), 0.75, 1e-12);
+  EXPECT_NEAR(internal_scores(ds, kBlockLabels).category_utility, 0.75,
+              1e-12);
 }
 
 TEST(CategoryUtility, SingleClusterIsZero) {
   const auto ds = two_blocks();
-  EXPECT_NEAR(category_utility(ds, {0, 0, 0, 0, 0, 0}), 0.0, 1e-12);
+  EXPECT_NEAR(internal_scores(ds, {0, 0, 0, 0, 0, 0}).category_utility, 0.0,
+              1e-12);
 }
 
 TEST(CategoryUtility, PlantedBeatsShuffled) {
@@ -149,8 +151,8 @@ TEST(CategoryUtility, PlantedBeatsShuffled) {
   std::vector<int> shuffled = ds.labels();
   Rng rng(5);
   rng.shuffle(shuffled);
-  EXPECT_GT(category_utility(ds, ds.labels()),
-            category_utility(ds, shuffled));
+  EXPECT_GT(internal_scores(ds, ds.labels()).category_utility,
+            internal_scores(ds, shuffled).category_utility);
 }
 
 // --- Davies-Bouldin ---------------------------------------------------------------
@@ -158,7 +160,7 @@ TEST(CategoryUtility, PlantedBeatsShuffled) {
 TEST(DaviesBouldin, PerfectBlocksScoreZero) {
   // Zero scatter, positive mode distance -> ratio 0.
   const auto ds = two_blocks();
-  EXPECT_DOUBLE_EQ(davies_bouldin_modes(ds, kBlockLabels), 0.0);
+  EXPECT_DOUBLE_EQ(internal_scores(ds, kBlockLabels).davies_bouldin, 0.0);
 }
 
 TEST(DaviesBouldin, CoincidentModesAreInfinite) {
@@ -169,7 +171,7 @@ TEST(DaviesBouldin, CoincidentModesAreInfinite) {
   builder.add_row({"a", "b"});
   const auto ds = std::move(builder).build();
   // Both clusters have mode (a, a|b) -> identical modes, positive scatter.
-  const double db = davies_bouldin_modes(ds, {0, 0, 1, 1});
+  const double db = internal_scores(ds, {0, 0, 1, 1}).davies_bouldin;
   EXPECT_TRUE(std::isinf(db));
 }
 
@@ -181,21 +183,11 @@ TEST(DaviesBouldin, PlantedBeatsShuffled) {
   std::vector<int> shuffled = ds.labels();
   Rng rng(7);
   rng.shuffle(shuffled);
-  EXPECT_LT(davies_bouldin_modes(ds, ds.labels()),
-            davies_bouldin_modes(ds, shuffled));
+  EXPECT_LT(internal_scores(ds, ds.labels()).davies_bouldin,
+            internal_scores(ds, shuffled).davies_bouldin);
 }
 
-// --- Bundle + property sweep -------------------------------------------------------
-
-TEST(InternalScores, BundleMatchesIndividuals) {
-  const auto ds = two_blocks();
-  const auto bundle = internal_scores(ds, kBlockLabels);
-  EXPECT_DOUBLE_EQ(bundle.compactness, compactness(ds, kBlockLabels));
-  EXPECT_DOUBLE_EQ(bundle.silhouette,
-                   categorical_silhouette(ds, kBlockLabels));
-  EXPECT_DOUBLE_EQ(bundle.category_utility,
-                   category_utility(ds, kBlockLabels));
-}
+// --- Property sweep ----------------------------------------------------------------
 
 class InternalSweep : public ::testing::TestWithParam<std::uint64_t> {};
 
@@ -208,14 +200,13 @@ TEST_P(InternalSweep, BoundsAndSanity) {
   config.seed = GetParam();
   const auto ds = data::well_separated(config);
   const auto& labels = ds.labels();
-  const double c = compactness(ds, labels);
-  EXPECT_GE(c, 0.0);
-  EXPECT_LE(c, 1.0);
-  const double s = categorical_silhouette(ds, labels);
-  EXPECT_GE(s, -1.0);
-  EXPECT_LE(s, 1.0);
-  EXPECT_GE(mode_separation(ds, labels), 0.0);
-  EXPECT_LE(mode_separation(ds, labels), 1.0);
+  const InternalScores scores = internal_scores(ds, labels);
+  EXPECT_GE(scores.compactness, 0.0);
+  EXPECT_LE(scores.compactness, 1.0);
+  EXPECT_GE(scores.silhouette, -1.0);
+  EXPECT_LE(scores.silhouette, 1.0);
+  EXPECT_GE(scores.separation, 0.0);
+  EXPECT_LE(scores.separation, 1.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, InternalSweep,
@@ -409,14 +400,9 @@ TEST(InternalReference, SeededSweepIsBitIdentical) {
           << core::simd::level_name(core::simd::level());
     }
     core::simd::set_level(entry);
-    EXPECT_EQ(davies_bouldin_modes(ds, labels), db) << "case " << c;
-    EXPECT_EQ(mode_separation(ds, labels), separation) << "case " << c;
     const InternalScores bundle = internal_scores(ds, labels);
-    EXPECT_EQ(bundle.compactness, compactness(ds, labels)) << "case " << c;
     EXPECT_EQ(bundle.separation, separation) << "case " << c;
     EXPECT_EQ(bundle.silhouette, silhouette) << "case " << c;
-    EXPECT_EQ(bundle.category_utility, category_utility(ds, labels))
-        << "case " << c;
     EXPECT_EQ(bundle.davies_bouldin, db) << "case " << c;
   }
   EXPECT_GT(tiny, 10);

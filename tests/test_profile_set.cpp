@@ -42,7 +42,7 @@ RandomCase random_case(std::uint64_t seed, std::size_t n = 160,
   Rng rng(seed);
   std::vector<int> cardinalities(d);
   for (auto& m : cardinalities) {
-    m = static_cast<int>(rng.uniform_int(2, 6));
+    m = static_cast<int>(2 + rng.below(5));
   }
   std::vector<data::Value> cells(n * d);
   for (std::size_t i = 0; i < n; ++i) {

@@ -60,23 +60,6 @@ TEST(Rng, BelowZeroThrows) {
   EXPECT_THROW(rng.below(0), std::invalid_argument);
 }
 
-TEST(Rng, UniformIntCoversRangeInclusive) {
-  Rng rng(11);
-  std::set<std::int64_t> seen;
-  for (int i = 0; i < 2000; ++i) {
-    const auto v = rng.uniform_int(-2, 2);
-    EXPECT_GE(v, -2);
-    EXPECT_LE(v, 2);
-    seen.insert(v);
-  }
-  EXPECT_EQ(seen.size(), 5u);
-}
-
-TEST(Rng, UniformIntBadRangeThrows) {
-  Rng rng(1);
-  EXPECT_THROW(rng.uniform_int(3, 2), std::invalid_argument);
-}
-
 TEST(Rng, UniformInUnitInterval) {
   Rng rng(13);
   double sum = 0.0;
@@ -96,20 +79,6 @@ TEST(Rng, UniformRange) {
     EXPECT_GE(u, -3.0);
     EXPECT_LT(u, 5.0);
   }
-}
-
-TEST(Rng, NormalMomentsRoughlyStandard) {
-  Rng rng(19);
-  double sum = 0.0;
-  double sq = 0.0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i) {
-    const double x = rng.normal();
-    sum += x;
-    sq += x * x;
-  }
-  EXPECT_NEAR(sum / n, 0.0, 0.05);
-  EXPECT_NEAR(sq / n, 1.0, 0.05);
 }
 
 TEST(Rng, BernoulliFrequency) {
@@ -172,16 +141,6 @@ TEST(Rng, SampleWholePopulation) {
 TEST(Rng, SampleTooLargeThrows) {
   Rng rng(47);
   EXPECT_THROW(rng.sample_without_replacement(5, 6), std::invalid_argument);
-}
-
-TEST(Rng, SplitProducesIndependentStream) {
-  Rng a(53);
-  Rng b = a.split();
-  int equal = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (a() == b()) ++equal;
-  }
-  EXPECT_LT(equal, 5);
 }
 
 // Property sweep: bounded generation is unbiased enough across seeds that

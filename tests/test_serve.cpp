@@ -2,8 +2,8 @@
 // atomicity under concurrent predict traffic (every answered label must be
 // valid for *some* published snapshot — no torn reads), the empty-model
 // -1 contract, field-exact JSON hot-reload, feature-width validation on
-// swap, BatchQueue mechanics, Engine::serve binding, and the serving stats
-// counters. This suite (with test_dist) also runs under ThreadSanitizer in
+// swap, BatchQueue mechanics, the sharded ServingCluster, and the serving
+// stats counters. This suite (with test_dist) also runs under ThreadSanitizer in
 // CI — the real torn-read gate.
 #include "serve/server.h"
 
@@ -53,19 +53,12 @@ TEST(ModelServer, EmptyServerAnswersMinusOne) {
 
   const data::Value row[] = {0};
   EXPECT_EQ(server.predict(row), -1);  // nothing to assign to — not "0"
-
-  const data::Dataset ds = tiny_dataset();
-  const std::vector<int> bulk = server.predict(data::DatasetView(ds));
-  EXPECT_EQ(bulk, (std::vector<int>{-1, -1, -1}));
 }
 
 TEST(ModelServer, ServerWithoutRowWidthRejectsSubmits) {
-  serve::ModelServer server;  // no model, no width: bulk predict only
+  serve::ModelServer server;  // no model, no width
   const data::Value row[] = {0};
   EXPECT_THROW(server.predict(row), std::logic_error);
-  const data::Dataset ds = tiny_dataset();
-  EXPECT_EQ(server.predict(data::DatasetView(ds)),
-            (std::vector<int>{-1, -1, -1}));
 }
 
 TEST(ModelServer, BatchedPredictMatchesModelPredict) {
@@ -174,7 +167,12 @@ TEST(ModelServer, JsonHotReloadIsFieldExact) {
   EXPECT_EQ(server.stats().swaps, 1u);
 
   // And it serves the same labels.
-  EXPECT_EQ(server.predict(data::DatasetView(ds)), fit.model.predict(ds));
+  const std::vector<int> expected = fit.model.predict(ds);
+  std::vector<data::Value> row(ds.num_features());
+  for (std::size_t i = 0; i < ds.num_objects(); ++i) {
+    ds.gather_row(i, row.data());
+    EXPECT_EQ(server.predict(row.data()), expected[i]) << "row " << i;
+  }
 }
 
 TEST(ModelServer, SwapJsonRejectsMalformedModels) {
@@ -186,36 +184,11 @@ TEST(ModelServer, SwapJsonRejectsMalformedModels) {
   EXPECT_EQ(server.predict(row), 0);  // old snapshot untouched
 }
 
-TEST(Engine, ServeBindsTheLastFit) {
-  const data::Dataset ds = data::syn_n(300);
-  api::Engine engine;
-  EXPECT_THROW(engine.serve(), std::logic_error);  // nothing fitted yet
-
-  api::FitOptions options;
-  options.method = "kmodes";
-  options.k = 3;
-  options.seed = 5;
-  options.evaluate = false;
-  const api::FitResult fit = engine.fit(ds, options);
-  ASSERT_TRUE(fit.ok());
-
-  const auto server = engine.serve();
-  ASSERT_NE(server->snapshot(), nullptr);
-  EXPECT_EQ(server->snapshot()->method(), "kmodes");
-  EXPECT_EQ(server->predict(data::DatasetView(ds)), fit.model.predict(ds));
-
-  // The single-row path agrees with the bulk path through the queue.
-  std::vector<data::Value> row(ds.num_features());
-  ds.gather_row(0, row.data());
-  EXPECT_EQ(server->predict(row.data()), fit.model.predict(ds)[0]);
-}
-
 TEST(BatchQueue, CoalescesUpToMaxBatch) {
   serve::BatchQueue queue(1, /*max_batch=*/4);
 
   std::vector<std::future<int>> futures;
   for (data::Value v = 0; v < 10; ++v) futures.push_back(queue.submit(&v));
-  EXPECT_EQ(queue.pending(), 10u);
 
   serve::BatchQueue::Batch batch;
   ASSERT_TRUE(queue.next_batch(batch));
@@ -227,7 +200,13 @@ TEST(BatchQueue, CoalescesUpToMaxBatch) {
   for (std::size_t i = 0; i < 4; ++i) {
     EXPECT_EQ(futures[i].get(), static_cast<int>(i));
   }
-  EXPECT_EQ(queue.pending(), 6u);
+  // The other 6 wait for the next drains: a full batch, then the rest.
+  queue.close();
+  for (const std::size_t expected : {4u, 2u}) {
+    ASSERT_TRUE(queue.next_batch(batch));
+    EXPECT_EQ(batch.count, expected);
+  }
+  EXPECT_FALSE(queue.next_batch(batch));
 }
 
 TEST(BatchQueue, KeepsSubmitOrderAcrossCompaction) {
@@ -267,7 +246,6 @@ TEST(BatchQueue, KeepsSubmitOrderAcrossCompaction) {
   }
   EXPECT_EQ(static_cast<std::size_t>(expected), first + more);
   EXPECT_EQ(batches, (first + more) / serve::BatchQueue::kDefaultMaxBatch);
-  EXPECT_EQ(queue.pending(), 0u);
   for (std::size_t i = 0; i < futures.size(); ++i) {
     EXPECT_EQ(futures[i].get(), static_cast<int>(i));
   }
@@ -363,12 +341,10 @@ TEST(ServingCluster, ShardedPredictMatchesModelPredict) {
   config.num_shards = 4;
   serve::ServingCluster cluster(model, config);
 
-  // Bulk predict equals the model's own answer row for row...
-  EXPECT_EQ(cluster.predict(data::DatasetView(ds)), expected);
-
-  // ...and so does single-row traffic through the batching queues.
+  // Single-row traffic through the batching queues equals the model's own
+  // answer row for row.
   std::vector<data::Value> row(ds.num_features());
-  for (std::size_t i = 0; i < 50; ++i) {
+  for (std::size_t i = 0; i < ds.num_objects(); ++i) {
     ds.gather_row(i, row.data());
     EXPECT_EQ(cluster.predict(row.data()), expected[i]) << "row " << i;
   }
@@ -380,7 +356,7 @@ TEST(ServingCluster, ShardedPredictMatchesModelPredict) {
   ASSERT_EQ(evidence.routed.size(), 4u);
   std::uint64_t routed_total = 0;
   for (const std::uint64_t r : evidence.routed) routed_total += r;
-  EXPECT_EQ(routed_total, ds.num_objects() + 50);  // bulk rows + single rows
+  EXPECT_EQ(routed_total, ds.num_objects());
 }
 
 TEST(ServingCluster, LocalityRoutingKeepsClustersOnOneShard) {
@@ -452,26 +428,6 @@ TEST(ServingCluster, RollingSwapExposesABoundedMixedWindow) {
   EXPECT_EQ(cluster.shard(1).predict(probe), 0);
 }
 
-TEST(ServingCluster, SwapShardMixesUntilARollRealigns) {
-  serve::ClusterConfig config;
-  config.num_shards = 3;
-  serve::ServingCluster cluster(model_always_zero(), config);
-  EXPECT_FALSE(cluster.generations().mixed);
-
-  cluster.swap_shard(1, model_prefers_one());
-  const serve::GenerationStatus mixed = cluster.generations();
-  EXPECT_TRUE(mixed.mixed);
-  EXPECT_EQ(mixed.target, 2u);
-  EXPECT_EQ(mixed.shard, (std::vector<std::uint64_t>{1, 2, 1}));
-  EXPECT_THROW(cluster.swap_shard(3, model_prefers_one()),
-               std::invalid_argument);
-
-  cluster.rolling_swap(model_prefers_one());
-  const serve::GenerationStatus realigned = cluster.generations();
-  EXPECT_FALSE(realigned.mixed);
-  EXPECT_EQ(realigned.target, 3u);
-}
-
 TEST(ServingCluster, RollingSwapWidthMismatchNamesBothCounts) {
   const data::Dataset wide_ds(2, 3, {0, 1, 0, 1, 0, 1}, {2, 2, 2});
   auto wide = std::make_shared<const api::Model>(api::Model::from_fit(
@@ -490,26 +446,6 @@ TEST(ServingCluster, RollingSwapWidthMismatchNamesBothCounts) {
   // The rejected roll published nothing: no phantom generation.
   EXPECT_EQ(cluster.generations().target, 1u);
   EXPECT_FALSE(cluster.generations().mixed);
-}
-
-TEST(Engine, ServeClusterBindsTheLastFit) {
-  api::Engine engine;
-  EXPECT_THROW(engine.serve_cluster(), std::logic_error);
-
-  const data::Dataset ds = data::syn_n(300);
-  api::FitOptions options;
-  options.method = "kmodes";
-  options.k = 3;
-  options.seed = 5;
-  options.evaluate = false;
-  const api::FitResult fit = engine.fit(ds, options);
-  ASSERT_TRUE(fit.ok());
-
-  serve::ClusterConfig config;
-  config.num_shards = 2;
-  const auto cluster = engine.serve_cluster(config);
-  EXPECT_EQ(cluster->num_shards(), 2u);
-  EXPECT_EQ(cluster->predict(data::DatasetView(ds)), fit.model.predict(ds));
 }
 
 TEST(ServingCluster, ConcurrentPredictsDuringRollsNeverTearOrStall) {

@@ -97,6 +97,7 @@
 #include "data/registry.h"
 #include "data/uci_extra.h"
 #include "metrics/indices.h"
+#include "serve/cluster.h"
 
 namespace {
 
