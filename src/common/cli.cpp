@@ -1,9 +1,29 @@
 #include "common/cli.h"
 
+#include <cerrno>
 #include <cstdlib>
 #include <stdexcept>
 
 namespace mcdc {
+
+namespace {
+
+// The whole of `text` as a number via `parse` (strtol/strtod shaped).
+// Throws std::invalid_argument naming the flag and the value when nothing
+// parses, characters trail the number, or it is out of range.
+template <typename T, typename Parse>
+T parse_number(const std::string& key, const std::string& text, Parse parse) {
+  char* end = nullptr;
+  errno = 0;
+  const T value = parse(text.c_str(), &end);
+  if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
+    throw std::invalid_argument("--" + key + ": expected a number, got '" +
+                                text + "'");
+  }
+  return value;
+}
+
+}  // namespace
 
 Cli::Cli(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -40,13 +60,17 @@ std::string Cli::get(const std::string& key,
 long Cli::get_int(const std::string& key, long fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return fallback;
-  return std::strtol(it->second.c_str(), nullptr, 10);
+  return parse_number<long>(key, it->second, [](const char* s, char** end) {
+    return std::strtol(s, end, 10);
+  });
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return fallback;
-  return std::strtod(it->second.c_str(), nullptr);
+  return parse_number<double>(key, it->second, [](const char* s, char** end) {
+    return std::strtod(s, end);
+  });
 }
 
 }  // namespace mcdc

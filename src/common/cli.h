@@ -16,6 +16,9 @@ class Cli {
 
   bool has(const std::string& key) const;
   std::string get(const std::string& key, const std::string& fallback) const;
+  // The flag's value as a number; `fallback` when the flag is absent or
+  // bare. Throws std::invalid_argument naming the flag and the value when
+  // the value is not wholly a number in range ("2x", "two", "1e999").
   long get_int(const std::string& key, long fallback) const;
   double get_double(const std::string& key, double fallback) const;
 

@@ -4,6 +4,8 @@
 
 #include <atomic>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <thread>
 
 #include "common/cli.h"
@@ -120,6 +122,29 @@ TEST(Cli, FallbacksWhenMissing) {
   EXPECT_EQ(cli.get("sweep", "all"), "all");
   EXPECT_EQ(cli.get_int("runs", 7), 7);
   EXPECT_DOUBLE_EQ(cli.get_double("eta", 0.03), 0.03);
+}
+
+TEST(Cli, RejectsValuesThatAreNotWhollyANumber) {
+  const char* argv[] = {"prog", "--k", "2x", "--n", "two", "--tol", "0,15",
+                        "--huge", "1e999", "--bare"};
+  const Cli cli(10, argv);
+  for (const char* key : {"k", "n"}) {
+    EXPECT_THROW(cli.get_int(key, 0), std::invalid_argument) << key;
+  }
+  for (const char* key : {"tol", "huge"}) {
+    EXPECT_THROW(cli.get_double(key, 0.0), std::invalid_argument) << key;
+  }
+  try {
+    cli.get_int("k", 0);
+    FAIL() << "--k 2x parsed";
+  } catch (const std::invalid_argument& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("--k"), std::string::npos) << what;
+    EXPECT_NE(what.find("'2x'"), std::string::npos) << what;
+  }
+  // A bare flag keeps its fallback.
+  EXPECT_EQ(cli.get_int("bare", 7), 7);
+  EXPECT_DOUBLE_EQ(cli.get_double("bare", 0.5), 0.5);
 }
 
 TEST(Cli, BareFlagDoesNotSwallowNextFlag) {

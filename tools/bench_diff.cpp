@@ -63,9 +63,8 @@ int main(int argc, char** argv) {
                  "[--tolerance 0.15]\n");
     return 2;
   }
-  const double tolerance = cli.get_double("tolerance", 0.15);
-
   try {
+    const double tolerance = cli.get_double("tolerance", 0.15);
     const api::Json record = read_json(cli.positional()[0]);
     const api::Json current = read_json(cli.positional()[1]);
     print_build("record ", record);
