@@ -8,19 +8,14 @@ namespace mcdc {
 
 namespace {
 
-// The whole of `text` as a number via `parse` (strtol/strtod shaped).
-// Throws std::invalid_argument naming the flag and the value when nothing
-// parses, characters trail the number, or it is out of range.
-template <typename T, typename Parse>
-T parse_number(const std::string& key, const std::string& text, Parse parse) {
-  char* end = nullptr;
-  errno = 0;
-  const T value = parse(text.c_str(), &end);
+// Throws std::invalid_argument naming the flag and the value unless
+// strtol/strtod parsed all of `text` (ending at `end`) in range.
+void check_whole_number(const std::string& key, const std::string& text,
+                        const char* end) {
   if (end == text.c_str() || *end != '\0' || errno == ERANGE) {
     throw std::invalid_argument("--" + key + ": expected a number, got '" +
                                 text + "'");
   }
-  return value;
 }
 
 }  // namespace
@@ -60,17 +55,21 @@ std::string Cli::get(const std::string& key,
 long Cli::get_int(const std::string& key, long fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return fallback;
-  return parse_number<long>(key, it->second, [](const char* s, char** end) {
-    return std::strtol(s, end, 10);
-  });
+  char* end = nullptr;
+  errno = 0;
+  const long value = std::strtol(it->second.c_str(), &end, 10);
+  check_whole_number(key, it->second, end);
+  return value;
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return fallback;
-  return parse_number<double>(key, it->second, [](const char* s, char** end) {
-    return std::strtod(s, end);
-  });
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(it->second.c_str(), &end);
+  check_whole_number(key, it->second, end);
+  return value;
 }
 
 }  // namespace mcdc
