@@ -128,12 +128,9 @@ TEST(Cli, RejectsValuesThatAreNotWhollyANumber) {
   const char* argv[] = {"prog", "--k", "2x", "--n", "two", "--tol", "0,15",
                         "--huge", "1e999", "--bare"};
   const Cli cli(10, argv);
-  for (const char* key : {"k", "n"}) {
-    EXPECT_THROW(cli.get_int(key, 0), std::invalid_argument) << key;
-  }
-  for (const char* key : {"tol", "huge"}) {
-    EXPECT_THROW(cli.get_double(key, 0.0), std::invalid_argument) << key;
-  }
+  EXPECT_THROW(cli.get_int("n", 0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("tol", 0.0), std::invalid_argument);
+  EXPECT_THROW(cli.get_double("huge", 0.0), std::invalid_argument);
   try {
     cli.get_int("k", 0);
     FAIL() << "--k 2x parsed";
