@@ -22,7 +22,10 @@
 // Scores are pinned too: the IEEE-754 bit patterns of every internal and
 // external index and every estimate_k candidate silhouette, at each SIMD
 // dispatch level (the silhouette sweep runs through the kernel table), and
-// of every anomaly score on an identity and on an indirect view.
+// of every anomaly score on an identity and on an indirect view. So are
+// the two histogram consumers no method golden reaches bit for bit:
+// dist::group_nodes (dominant values and consistency bits) and the k-modes
+// labels where a cluster observes no value of a feature.
 //
 // The width-1 results are additionally pinned as FNV-1a goldens (the same
 // hash and guard as the 18-method table in test_profile_set.cpp): a moved
@@ -42,6 +45,7 @@
 #include <vector>
 
 #include "api/engine.h"
+#include "baselines/kmodes.h"
 #include "common/thread_pool.h"
 #include "core/simd.h"
 #include "core/anomaly.h"
@@ -52,6 +56,7 @@
 #include "data/noise.h"
 #include "data/registry.h"
 #include "data/synthetic.h"
+#include "dist/node_grouping.h"
 #include "metrics/indices.h"
 #include "metrics/internal.h"
 #include "serve/online.h"
@@ -736,6 +741,113 @@ TEST(ScoreDeterminism, CongressionalScoresWithMissingCellsArePinned) {
   const std::uint64_t h = score_hash(ds, ds.labels(), {ds.labels()});
 #if defined(__linux__) && defined(__GLIBC__)
   EXPECT_EQ(h, 0xc07164dab3f50f7fULL) << "Con. scores drifted";
+#endif
+}
+
+// Node-grouping golden: three planted profiles of 30 nodes over four
+// features. About one cell in nine of the first three features is missing
+// and every seventh node strays from its profile in one feature; profile 0
+// never reports `disk`, and profile 1 reports `ssd`, `hdd` and nothing
+// equally often, so its dominant `disk` value is a tie.
+data::Dataset gapped_node_table() {
+  const char* const profiles[3][4] = {{"a100", "hi", "ib", "?"},
+                                      {"v100", "mid", "eth", "ssd"},
+                                      {"t4", "lo", "roce", "nvme"}};
+  const char* const profile1_disks[3] = {"ssd", "hdd", "?"};
+  data::DatasetBuilder builder({"gpu", "mem", "net", "disk"});
+  for (int i = 0; i < 90; ++i) {
+    const int p = i % 3;
+    std::vector<std::string> row(profiles[p], profiles[p] + 4);
+    if (p == 1) row[3] = profile1_disks[(i / 3) % 3];
+    if (i % 7 == 0) row[(i / 7) % 3] = profiles[(p + 1) % 3][(i / 7) % 3];
+    for (int r = 0; r < 3; ++r) {
+      if ((i + 2 * r) % 9 == 0) row[static_cast<std::size_t>(r)] = "?";
+    }
+    builder.add_row(row);
+  }
+  return std::move(builder).build();
+}
+
+TEST(BankConsumerDeterminism, NodeGroupingIsPinned) {
+  const data::Dataset ds = gapped_node_table();
+  const std::size_t d = ds.num_features();
+  std::uint64_t h = kFnvSeed;
+  for (const int k : {0, 3}) {
+    const dist::NodeGroupingResult result = dist::group_nodes(ds, k, 7);
+    h = fnv1a(h, result.assignment);
+    bool tie = false;
+    bool unobserved = false;
+    for (const dist::NodeGroup& group : result.groups) {
+      h = fnv1a_u64(h, {static_cast<std::uint64_t>(group.id)});
+      for (const std::size_t i : group.members) h = fnv1a_u64(h, {i});
+      for (const std::string& name : group.dominant_values) {
+        h = fnv1a_text(h, name);
+      }
+      for (const double c : group.consistency) h = fnv1a_bits(h, {c});
+      h = fnv1a_bits(h, {group.mean_consistency});
+      // The cases the golden must reach, recounted from the members.
+      for (std::size_t r = 0; r < d; ++r) {
+        std::vector<int> counts(static_cast<std::size_t>(ds.cardinality(r)));
+        for (const std::size_t i : group.members) {
+          if (ds.at(i, r) != data::kMissing) {
+            ++counts[static_cast<std::size_t>(ds.at(i, r))];
+          }
+        }
+        const int top = *std::max_element(counts.begin(), counts.end());
+        unobserved = unobserved || top == 0;
+        tie = tie || (top > 0 && std::count(counts.begin(), counts.end(),
+                                            top) > 1);
+      }
+    }
+    EXPECT_TRUE(tie) << "k = " << k;
+    EXPECT_TRUE(unobserved) << "k = " << k;
+  }
+#if defined(__linux__) && defined(__GLIBC__)
+  EXPECT_EQ(h, 0x1344d41c53d5e191ULL) << "node grouping drifted";
+#endif
+}
+
+// k-modes golden: Huang's mode update starts from count -1, so a cluster
+// that observes no value of a feature takes code 0 as its mode there.
+// Planted cluster 1 of a noisy table has its last feature blanked; at both
+// k some k-modes cluster gathers only blanked rows, so the rule fires, and
+// the labels move if that mode is kept missing instead.
+TEST(BankConsumerDeterminism, KModesLabelsArePinned) {
+  data::WellSeparatedConfig config;
+  config.num_objects = 240;
+  config.num_features = 5;
+  config.num_clusters = 3;
+  config.cardinality = 4;
+  config.purity = 0.85;
+  config.seed = 42;
+  const data::Dataset planted = data::well_separated(config);
+  const std::size_t n = planted.num_objects();
+  const std::size_t d = planted.num_features();
+  std::vector<data::Value> cells(n * d);
+  for (std::size_t i = 0; i < n; ++i) {
+    planted.gather_row(i, &cells[i * d]);
+    if (planted.labels()[i] == 1) cells[i * d + d - 1] = data::kMissing;
+  }
+  const data::Dataset ds(n, d, std::move(cells), planted.cardinalities());
+  std::uint64_t h = kFnvSeed;
+  for (const int k : {4, 5}) {
+    const std::vector<int> labels = baselines::KModes().cluster(ds, k, 3).labels;
+    h = fnv1a(h, labels);
+    std::vector<int> observed(static_cast<std::size_t>(k), 0);
+    std::vector<int> size(static_cast<std::size_t>(k), 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      const auto l = static_cast<std::size_t>(labels[i]);
+      ++size[l];
+      if (ds.at(i, d - 1) != data::kMissing) ++observed[l];
+    }
+    bool fires = false;
+    for (std::size_t l = 0; l < size.size(); ++l) {
+      fires = fires || (size[l] > 0 && observed[l] == 0);
+    }
+    EXPECT_TRUE(fires) << "k = " << k;
+  }
+#if defined(__linux__) && defined(__GLIBC__)
+  EXPECT_EQ(h, 0xcc0221f9fff004f0ULL) << "k-modes labels drifted";
 #endif
 }
 
