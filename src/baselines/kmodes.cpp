@@ -1,10 +1,11 @@
 #include "baselines/kmodes.h"
 
-#include <algorithm>
+#include <utility>
 #include <limits>
 #include <stdexcept>
 
 #include "common/rng.h"
+#include "core/profile_set.h"
 
 namespace mcdc::baselines {
 
@@ -30,7 +31,6 @@ int distance(const data::DatasetView& ds, std::size_t i,
 ClusterResult KModes::cluster(const data::DatasetView& ds, int k,
                               std::uint64_t seed) const {
   const std::size_t n = ds.num_objects();
-  const std::size_t d = ds.num_features();
   if (n == 0) throw std::invalid_argument("KModes: empty dataset");
   if (k < 1 || static_cast<std::size_t>(k) > n) {
     throw std::invalid_argument("KModes: invalid k");
@@ -60,38 +60,14 @@ ClusterResult KModes::cluster(const data::DatasetView& ds, int k,
     }
   };
 
-  // Flat per-cluster histogram bank in ProfileSet's value-major layout:
-  // hist[(offset[r] + v) * k + l]. One contiguous buffer instead of a
-  // [cluster][feature][value] vector jungle, filled by stride-1 column
-  // sweeps over the columnar dataset bank.
-  const auto ku = static_cast<std::size_t>(k);
-  std::vector<std::size_t> offsets(d + 1, 0);
-  for (std::size_t r = 0; r < d; ++r) {
-    offsets[r + 1] = offsets[r] + static_cast<std::size_t>(ds.cardinality(r));
-  }
-  std::vector<int> hist(offsets[d] * ku, 0);
-
   assign(labels);
   std::vector<int> next(n, -1);
   for (int iter = 0; iter < config_.max_iterations; ++iter) {
     // Recompute modes from the current partition.
-    std::fill(hist.begin(), hist.end(), 0);
-    std::vector<int> sizes(ku, 0);
-    for (std::size_t i = 0; i < n; ++i) {
-      ++sizes[static_cast<std::size_t>(labels[i])];
-    }
-    for (std::size_t r = 0; r < d; ++r) {
-      int* cell_block = hist.data() + offsets[r] * ku;
-      for (std::size_t i = 0; i < n; ++i) {
-        const Value v = ds.at(i, r);
-        if (v != data::kMissing) {
-          ++cell_block[static_cast<std::size_t>(v) * ku +
-                       static_cast<std::size_t>(labels[i])];
-        }
-      }
-    }
+    const core::ProfileSet bank =
+        core::ProfileSet::from_assignment(ds, labels, k);
     for (int l = 0; l < k; ++l) {
-      if (sizes[static_cast<std::size_t>(l)] == 0) {
+      if (bank.empty(l)) {
         // Re-seed the empty cluster with the worst-fitting object.
         std::size_t farthest = 0;
         int worst = -1;
@@ -106,20 +82,13 @@ ClusterResult KModes::cluster(const data::DatasetView& ds, int k,
         modes[static_cast<std::size_t>(l)] = ds.row_copy(farthest);
         continue;
       }
-      for (std::size_t r = 0; r < d; ++r) {
-        const int* cell_block = hist.data() + offsets[r] * ku;
-        int best_count = -1;
-        Value best_value = 0;
-        for (std::size_t v = 0;
-             v < static_cast<std::size_t>(ds.cardinality(r)); ++v) {
-          const int c = cell_block[v * ku + static_cast<std::size_t>(l)];
-          if (c > best_count) {
-            best_count = c;
-            best_value = static_cast<Value>(v);
-          }
-        }
-        modes[static_cast<std::size_t>(l)][r] = best_value;
+      // Huang's update takes the first most frequent value, and code 0
+      // where the cluster observed no value of the feature.
+      std::vector<Value> mode = bank.mode(l);
+      for (Value& v : mode) {
+        if (v == data::kMissing) v = 0;
       }
+      modes[static_cast<std::size_t>(l)] = std::move(mode);
     }
 
     assign(next);

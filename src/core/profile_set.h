@@ -1,12 +1,12 @@
 // ProfileSet — flat Structure-of-Arrays histogram bank for k clusters, the
-// one bank behind object-cluster similarity: fitting, the online learners,
-// serialisation (api::Model JSON and the binary artifact) and serving all
-// read and write it. (metrics::PartitionProfile keeps an int-typed bank for
-// the internal validity indices only, where int counts measure faster.) It
-// holds every cluster's per-feature value counts in one contiguous buffer,
-// laid out value-major with a slot stride that can exceed k (spare slots
-// are kept zero so append_cluster is amortised O(1) slots instead of a
-// restride per spawn):
+// one bank behind every per-cluster value count in the library: fitting,
+// the online learners, serialisation (api::Model JSON and the binary
+// artifact) and serving read and write it, and the internal validity
+// indices, the k-modes mode update and node grouping read it through
+// from_assignment. It holds every cluster's per-feature value counts in
+// one contiguous buffer, laid out value-major with a slot stride that can
+// exceed k (spare slots are kept zero so append_cluster is amortised O(1)
+// slots instead of a restride per spawn):
 //
 //   counts_[(offset[r] + v) * stride + l]  =  Psi_{Fr = v}(C_l),  l < k
 //

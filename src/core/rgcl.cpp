@@ -104,28 +104,16 @@ baselines::ClusterResult RgclLearner::cluster(const data::DatasetView& ds,
   // row shuffles (a multiset property) and to category recodings (a value
   // keeps its count under any bijective relabelling), which is what makes
   // the sequential per-row updates below presentation-independent.
-  std::vector<std::vector<std::uint32_t>> freq(d);
-  for (std::size_t r = 0; r < d; ++r) {
-    freq[r].assign(static_cast<std::size_t>(ds.cardinality(r)), 0);
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = ds.at(i, r);
-      if (v >= 0 && v < ds.cardinality(r)) {
-        ++freq[r][static_cast<std::size_t>(v)];
-      }
-    }
-  }
+  const std::vector<std::vector<int>> freq = ds.value_counts();
   // keys[i] = the row's frequency signature (missing cells read 0 — no
   // present value can, every one appears at least once).
-  std::vector<std::vector<std::uint32_t>> keys(n);
+  std::vector<std::vector<int>> keys(n);
   for (std::size_t i = 0; i < n; ++i) {
     keys[i].resize(d);
     for (std::size_t r = 0; r < d; ++r) {
       const data::Value v = ds.at(i, r);
-      keys[i][r] = (v >= 0 && v < ds.cardinality(r))
-                       ? freq[r][static_cast<std::size_t>(v)]
-                       : 0;
+      keys[i][r] =
+          v == data::kMissing ? 0 : freq[r][static_cast<std::size_t>(v)];
     }
   }
   // Canonical order: densest signature first. stable_sort keeps equal-key
@@ -179,7 +167,7 @@ baselines::ClusterResult RgclLearner::cluster(const data::DatasetView& ds,
       const double s_v = scores[vu];
       std::uint64_t h = fnv_bytes(kFnvOffset, &seed, sizeof(seed));
       h = fnv_bytes(h, &epoch, sizeof(epoch));
-      h = fnv_bytes(h, keys[i].data(), keys[i].size() * sizeof(std::uint32_t));
+      h = fnv_bytes(h, keys[i].data(), keys[i].size() * sizeof(int));
       if (!config.reinforcement || uniform_from_hash(h) < clamp01(s_v)) {
         delta[vu] += config.eta * (1.0 - s_v);
         int rival = -1;

@@ -1,18 +1,20 @@
 #include "dist/node_grouping.h"
 
 #include <algorithm>
-#include <map>
 #include <stdexcept>
 
 #include "core/mcdc.h"
 #include "core/mgcpl.h"
+#include "core/profile_set.h"
 
 namespace mcdc::dist {
 
 namespace {
 
-// Dominant value and per-feature consistency of one member list.
-NodeGroup profile_group(const data::DatasetView& table, int id,
+// Dominant value and per-feature consistency of group `id`, read from the
+// bank of every group's value counts.
+NodeGroup profile_group(const data::DatasetView& table,
+                        const core::ProfileSet& bank, int id,
                         std::vector<std::size_t> members) {
   const std::size_t d = table.num_features();
   NodeGroup group;
@@ -21,27 +23,15 @@ NodeGroup profile_group(const data::DatasetView& table, int id,
   group.dominant_values.resize(d);
   group.consistency.resize(d);
 
+  // Ties resolve to the smallest code; kMissing where no member reports
+  // the feature (its count reads 0).
+  const std::vector<data::Value> dominant = bank.mode(id);
   double total = 0.0;
   for (std::size_t r = 0; r < d; ++r) {
-    std::map<data::Value, std::size_t> counts;
-    for (const std::size_t i : group.members) {
-      const data::Value v = table.at(i, r);
-      if (v != data::kMissing) ++counts[v];
-    }
-    data::Value dominant = data::kMissing;
-    std::size_t best = 0;
-    for (const auto& [value, count] : counts) {
-      if (count > best) {  // ties resolve to the smallest code (map order)
-        best = count;
-        dominant = value;
-      }
-    }
-    group.dominant_values[r] =
-        dominant == data::kMissing ? "?" : table.value_name(r, dominant);
-    group.consistency[r] = group.members.empty()
-                               ? 0.0
-                               : static_cast<double>(best) /
-                                     static_cast<double>(group.members.size());
+    group.dominant_values[r] = dominant[r] == data::kMissing
+                                   ? "?"
+                                   : table.value_name(r, dominant[r]);
+    group.consistency[r] = bank.count(id, r, dominant[r]) / bank.size(id);
     total += group.consistency[r];
   }
   group.mean_consistency = d > 0 ? total / static_cast<double>(d) : 0.0;
@@ -72,12 +62,19 @@ NodeGroupingResult group_nodes(const data::DatasetView& table, int k,
     result.assignment = output.labels;
   }
 
-  std::map<int, std::vector<std::size_t>> members;
+  // One bank of every group's value counts; groups are reported by id.
+  const int ids = *std::max_element(result.assignment.begin(),
+                                    result.assignment.end()) + 1;
+  const core::ProfileSet bank =
+      core::ProfileSet::from_assignment(table, result.assignment, ids);
+  std::vector<std::vector<std::size_t>> members(static_cast<std::size_t>(ids));
   for (std::size_t i = 0; i < result.assignment.size(); ++i) {
-    members[result.assignment[i]].push_back(i);
+    members[static_cast<std::size_t>(result.assignment[i])].push_back(i);
   }
-  for (auto& [id, rows] : members) {
-    result.groups.push_back(profile_group(table, id, std::move(rows)));
+  for (int id = 0; id < ids; ++id) {
+    std::vector<std::size_t>& rows = members[static_cast<std::size_t>(id)];
+    if (rows.empty()) continue;
+    result.groups.push_back(profile_group(table, bank, id, std::move(rows)));
   }
   return result;
 }

@@ -1,7 +1,6 @@
 #include "metrics/internal.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <stdexcept>
@@ -12,13 +11,19 @@ namespace mcdc::metrics {
 
 namespace {
 
-int label_count(const std::vector<int>& labels) {
+// The per-cluster value counts every index reads, over k = max label + 1
+// clusters. Checked here: from_assignment would skip a -1 label silently.
+core::ProfileSet label_bank(const data::DatasetView& ds,
+                            const std::vector<int>& labels) {
+  if (labels.size() != ds.num_objects()) {
+    throw std::invalid_argument("internal: labels/objects size mismatch");
+  }
   int k = 0;
   for (int l : labels) {
     if (l < 0) throw std::invalid_argument("internal: negative label");
     k = std::max(k, l + 1);
   }
-  return k;
+  return core::ProfileSet::from_assignment(ds, labels, k);
 }
 
 // Normalised Hamming distance between two value rows over the features
@@ -36,15 +41,12 @@ double hamming(const data::Value* a, const data::Value* b, std::size_t d) {
 }
 
 // Every cluster's mode vector, computed once: modes[l * d + r] is
-// profile.mode(l, r) (kMissing where cluster l observed no value).
-std::vector<data::Value> mode_table(const PartitionProfile& profile,
-                                    std::size_t d) {
-  const auto k = static_cast<std::size_t>(profile.num_clusters());
-  std::vector<data::Value> modes(k * d);
-  for (std::size_t l = 0; l < k; ++l) {
-    for (std::size_t r = 0; r < d; ++r) {
-      modes[l * d + r] = profile.mode(static_cast<int>(l), r);
-    }
+// bank.mode(l)[r] (kMissing where cluster l observed no value).
+std::vector<data::Value> mode_table(const core::ProfileSet& bank) {
+  std::vector<data::Value> modes;
+  for (int l = 0; l < bank.num_clusters(); ++l) {
+    const std::vector<data::Value> mode = bank.mode(l);
+    modes.insert(modes.end(), mode.begin(), mode.end());
   }
   return modes;
 }
@@ -59,73 +61,23 @@ double mode_distance(const std::vector<data::Value>& modes, std::size_t d,
 
 }  // namespace
 
-PartitionProfile::PartitionProfile(const data::DatasetView& ds,
-                                   const std::vector<int>& labels) {
-  if (labels.size() != ds.num_objects()) {
-    throw std::invalid_argument("internal: labels/objects size mismatch");
-  }
-  k_ = label_count(labels);
-  const auto ku = static_cast<std::size_t>(k_);
-  const std::size_t n = ds.num_objects();
+double mean_distance(const core::ProfileSet& bank, const data::DatasetView& ds,
+                     std::size_t i, int l, bool exclude_self) {
   const std::size_t d = ds.num_features();
-  sizes_.assign(ku, 0);
-  offsets_.assign(d + 1, 0);
-  for (std::size_t r = 0; r < d; ++r) {
-    offsets_[r + 1] = offsets_[r] + static_cast<std::size_t>(ds.cardinality(r));
-  }
-  counts_.assign(offsets_[d] * ku, 0);
-  non_null_.assign(d * ku, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    ++sizes_[static_cast<std::size_t>(labels[i])];
-  }
-  // Feature-major fill: each column is swept stride-1 and writes only its
-  // own cell block of the bank.
-  for (std::size_t r = 0; r < d; ++r) {
-    int* cell_block = counts_.data() + offsets_[r] * ku;
-    int* nn = non_null_.data() + r * ku;
-    for (std::size_t i = 0; i < n; ++i) {
-      const data::Value v = ds.at(i, r);
-      if (v == data::kMissing) continue;
-      const auto l = static_cast<std::size_t>(labels[i]);
-      ++cell_block[static_cast<std::size_t>(v) * ku + l];
-      ++nn[l];
-    }
-  }
-}
-
-data::Value PartitionProfile::mode(int l, std::size_t r) const {
-  data::Value best = data::kMissing;
-  int best_count = 0;
-  const std::size_t m_r = offsets_[r + 1] - offsets_[r];
-  for (std::size_t v = 0; v < m_r; ++v) {
-    const int c = count(l, r, static_cast<data::Value>(v));
-    if (c > best_count) {
-      best_count = c;
-      best = static_cast<data::Value>(v);
-    }
-  }
-  return best;
-}
-
-double PartitionProfile::mean_distance(const data::DatasetView& ds,
-                                       std::size_t i, int l,
-                                       bool exclude_self) const {
-  const std::size_t d = ds.num_features();
-  const bool self_member = exclude_self;
   double sum = 0.0;
   std::size_t compared = 0;
   for (std::size_t r = 0; r < d; ++r) {
     const data::Value v = ds.at(i, r);
     if (v == data::kMissing) continue;
-    int denom = non_null(l, r);
-    int same = count(l, r, v);
-    if (self_member) {
-      --denom;
-      --same;
+    double denom = bank.non_null(l, r);
+    double same = bank.count(l, r, v);
+    if (exclude_self) {
+      denom -= 1.0;
+      same -= 1.0;
     }
-    if (denom <= 0) continue;
+    if (denom <= 0.0) continue;
     ++compared;
-    sum += 1.0 - static_cast<double>(same) / static_cast<double>(denom);
+    sum += 1.0 - same / denom;
   }
   if (compared == 0) return 0.0;
   return sum / static_cast<double>(compared);
@@ -133,17 +85,17 @@ double PartitionProfile::mean_distance(const data::DatasetView& ds,
 
 namespace {
 
-// The five indices over one shared profile (and mode table); internal_scores
+// The five indices over one shared bank (and mode table); internal_scores
 // and categorical_silhouette end here.
 
 double compactness(const data::DatasetView& ds, const std::vector<int>& labels,
-                   const PartitionProfile& profile) {
+                   const core::ProfileSet& bank) {
   if (ds.num_objects() == 0) return 0.0;
   double sum = 0.0;
   for (std::size_t i = 0; i < ds.num_objects(); ++i) {
     // Similarity = 1 - mean mismatch, including the object itself in its
     // cluster histogram (the Eq. (1)-(2) convention).
-    sum += 1.0 - profile.mean_distance(ds, i, labels[i], false);
+    sum += 1.0 - mean_distance(bank, ds, i, labels[i], false);
   }
   return sum / static_cast<double>(ds.num_objects());
 }
@@ -164,10 +116,10 @@ double mode_separation(const std::vector<data::Value>& modes, int k,
 
 double categorical_silhouette(const data::DatasetView& ds,
                               const std::vector<int>& labels,
-                              const PartitionProfile& profile) {
+                              const core::ProfileSet& bank) {
   const std::size_t n = ds.num_objects();
   if (n == 0) return 0.0;
-  const int k = profile.num_clusters();
+  const int k = bank.num_clusters();
   if (k < 2) return 0.0;
   const auto ku = static_cast<std::size_t>(k);
   const std::size_t d = ds.num_features();
@@ -184,14 +136,13 @@ double categorical_silhouette(const data::DatasetView& ds,
   std::vector<double> observed(d * ku, 0.0);
   for (std::size_t r = 0; r < d; ++r) {
     for (int l = 0; l < k; ++l) {
-      const int denom = profile.non_null(l, r);
-      if (denom <= 0) continue;
+      const double denom = bank.non_null(l, r);
+      if (denom <= 0.0) continue;
       const auto lu = static_cast<std::size_t>(l);
       observed[r * ku + lu] = 1.0;
       double* lane = mismatch.data() + offsets[r] * ku + lu;
       for (data::Value v = 0; v < ds.cardinality(r); ++v) {
-        const double q = static_cast<double>(profile.count(l, r, v)) /
-                         static_cast<double>(denom);
+        const double q = bank.count(l, r, v) / denom;
         lane[static_cast<std::size_t>(v) * ku] = 1.0 - q;
       }
     }
@@ -208,8 +159,8 @@ double categorical_silhouette(const data::DatasetView& ds,
   double total = 0.0;
   for (std::size_t i = 0; i < n; ++i) {
     const int own = labels[i];
-    if (profile.cluster_size(own) <= 1) continue;  // contributes 0
-    const double a = profile.mean_distance(ds, i, own, true);
+    if (bank.size(own) <= 1.0) continue;  // contributes 0
+    const double a = mean_distance(bank, ds, i, own, true);
     ds.gather_row(i, row.data());
     std::fill(sum.begin(), sum.end(), 0.0);
     std::fill(compared.begin(), compared.end(), 0.0);
@@ -221,7 +172,7 @@ double categorical_silhouette(const data::DatasetView& ds,
     }
     double b = std::numeric_limits<double>::infinity();
     for (int l = 0; l < k; ++l) {
-      if (l == own || profile.cluster_size(l) == 0) continue;
+      if (l == own || bank.empty(l)) continue;
       const auto lu = static_cast<std::size_t>(l);
       b = std::min(b, compared[lu] == 0.0 ? 0.0 : sum[lu] / compared[lu]);
     }
@@ -233,10 +184,10 @@ double categorical_silhouette(const data::DatasetView& ds,
 }
 
 double category_utility(const data::DatasetView& ds,
-                        const PartitionProfile& profile) {
+                        const core::ProfileSet& bank) {
   const std::size_t n = ds.num_objects();
   if (n == 0) return 0.0;
-  const int k = profile.num_clusters();
+  const int k = bank.num_clusters();
   if (k == 0) return 0.0;
   const auto global = ds.value_counts();
 
@@ -254,16 +205,14 @@ double category_utility(const data::DatasetView& ds,
 
   double cu = 0.0;
   for (int l = 0; l < k; ++l) {
-    const double p_cluster =
-        static_cast<double>(profile.cluster_size(l)) / static_cast<double>(n);
+    const double p_cluster = bank.size(l) / static_cast<double>(n);
     if (p_cluster == 0.0) continue;
     double inner = 0.0;
     for (std::size_t r = 0; r < ds.num_features(); ++r) {
-      const int denom = profile.non_null(l, r);
-      if (denom == 0) continue;
+      const double denom = bank.non_null(l, r);
+      if (denom == 0.0) continue;
       for (data::Value v = 0; v < ds.cardinality(r); ++v) {
-        const double p =
-            static_cast<double>(profile.count(l, r, v)) / denom;
+        const double p = bank.count(l, r, v) / denom;
         inner += p * p;
       }
     }
@@ -274,9 +223,9 @@ double category_utility(const data::DatasetView& ds,
 
 double davies_bouldin_modes(const data::DatasetView& ds,
                             const std::vector<int>& labels,
-                            const PartitionProfile& profile,
+                            const core::ProfileSet& bank,
                             const std::vector<data::Value>& modes) {
-  const int k = profile.num_clusters();
+  const int k = bank.num_clusters();
   if (k < 2) return 0.0;
   const std::size_t d = ds.num_features();
   // Scatter: mean member-to-own-mode Hamming distance, every cluster's in
@@ -290,9 +239,8 @@ double davies_bouldin_modes(const data::DatasetView& ds,
     scatter[l] += hamming(row.data(), modes.data() + l * d, d);
   }
   for (int l = 0; l < k; ++l) {
-    const std::size_t members = profile.cluster_size(l);
     double& s = scatter[static_cast<std::size_t>(l)];
-    s = members == 0 ? 0.0 : s / static_cast<double>(members);
+    s = bank.empty(l) ? 0.0 : s / bank.size(l);
   }
   double sum = 0.0;
   for (int l = 0; l < k; ++l) {
@@ -319,21 +267,21 @@ double davies_bouldin_modes(const data::DatasetView& ds,
 double categorical_silhouette(const data::DatasetView& ds,
                               const std::vector<int>& labels) {
   if (ds.num_objects() == 0) return 0.0;
-  return categorical_silhouette(ds, labels, PartitionProfile(ds, labels));
+  return categorical_silhouette(ds, labels, label_bank(ds, labels));
 }
 
 InternalScores internal_scores(const data::DatasetView& ds,
                                const std::vector<int>& labels) {
-  // One profile and one mode table serve all five indices.
-  const PartitionProfile profile(ds, labels);
+  // One bank and one mode table serve all five indices.
+  const core::ProfileSet bank = label_bank(ds, labels);
   const std::size_t d = ds.num_features();
-  const std::vector<data::Value> modes = mode_table(profile, d);
+  const std::vector<data::Value> modes = mode_table(bank);
   InternalScores out;
-  out.compactness = compactness(ds, labels, profile);
-  out.separation = mode_separation(modes, profile.num_clusters(), d);
-  out.silhouette = categorical_silhouette(ds, labels, profile);
-  out.category_utility = category_utility(ds, profile);
-  out.davies_bouldin = davies_bouldin_modes(ds, labels, profile, modes);
+  out.compactness = compactness(ds, labels, bank);
+  out.separation = mode_separation(modes, bank.num_clusters(), d);
+  out.silhouette = categorical_silhouette(ds, labels, bank);
+  out.category_utility = category_utility(ds, bank);
+  out.davies_bouldin = davies_bouldin_modes(ds, labels, bank, modes);
   return out;
 }
 

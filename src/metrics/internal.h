@@ -16,69 +16,39 @@
 //
 // All functions take the data table plus dense labels in [0, k) and ignore
 // missing cells the same NULL-aware way as the core similarity (Sec. II-A).
+// Every index reads one statistic, each cluster's count of every feature
+// value: the core::ProfileSet that from_assignment builds over the labels
+// (k = max label + 1), the bank fitting and serving use too.
 #pragma once
 
 #include <cstddef>
 #include <vector>
 
+#include "core/profile_set.h"
 #include "data/dataset.h"
 #include "data/view.h"
 
 namespace mcdc::metrics {
 
-// Per-cluster per-feature value-frequency histograms — the sufficient
-// statistic every internal index here is computed from. Stored as one flat
-// bank in core::ProfileSet's value-major layout,
-// counts_[(offset[r] + v) * k + l], filled by stride-1 column sweeps over
-// the dataset bank; the k counts of a fixed (feature, value) cell sit on
-// one cache line for the per-object mean_distance sweeps.
-class PartitionProfile {
- public:
-  PartitionProfile(const data::DatasetView& ds, const std::vector<int>& labels);
-
-  int num_clusters() const { return k_; }
-  std::size_t cluster_size(int l) const { return sizes_[l]; }
-
-  // |{i in C_l : x_ir = v}|.
-  int count(int l, std::size_t r, data::Value v) const {
-    return counts_[(offsets_[r] + static_cast<std::size_t>(v)) *
-                       static_cast<std::size_t>(k_) +
-                   static_cast<std::size_t>(l)];
-  }
-  // |{i in C_l : x_ir != NULL}|.
-  int non_null(int l, std::size_t r) const {
-    return non_null_[r * static_cast<std::size_t>(k_) +
-                     static_cast<std::size_t>(l)];
-  }
-
-  // Mode (most frequent value, ties to the smaller code) of feature r in
-  // cluster l; kMissing when the cluster has no observed value there.
-  data::Value mode(int l, std::size_t r) const;
-
-  // Mean per-feature mismatch probability between object row and cluster l:
-  //   (1/|R|) sum_{r in R} (1 - count(l, r, x_ir) / non_null(l, r)),
-  // over the features R compared: x_ir is present and the cluster has an
-  // observed value there (non_null > 0); 0 when R is empty. The histogram
-  // form of the mean Hamming distance from the object to the cluster's
-  // members. `exclude_self` makes the estimate leave-one-out (required by
-  // the silhouette's a(i) term): both counts drop by one, and a feature
-  // the object alone observes in the cluster is not compared.
-  double mean_distance(const data::DatasetView& ds, std::size_t i, int l,
-                       bool exclude_self) const;
-
- private:
-  int k_ = 0;
-  std::vector<std::size_t> sizes_;
-  std::vector<std::size_t> offsets_;  // offsets_[r] = sum of m_t, t < r
-  std::vector<int> counts_;           // [(offset[r] + v) * k + l]
-  std::vector<int> non_null_;         // [r * k + l]
-};
+// Mean per-feature mismatch probability between object i and cluster l of
+// `bank`:
+//   (1/|R|) sum_{r in R} (1 - count(l, r, x_ir) / non_null(l, r)),
+// over the features R compared: x_ir is present and the cluster has an
+// observed value there (non_null > 0); 0 when R is empty. The histogram
+// form of the mean Hamming distance from the object to the cluster's
+// members. `exclude_self` makes the estimate leave-one-out (required by
+// the silhouette's a(i) term): both counts drop by one, and a feature
+// the object alone observes in the cluster is not compared. The bank must
+// hold integral counts (a from_assignment bank), so every quotient is the
+// exact ratio of member counts.
+double mean_distance(const core::ProfileSet& bank, const data::DatasetView& ds,
+                     std::size_t i, int l, bool exclude_self);
 
 // Histogram-based categorical silhouette, averaged over objects. Range
 // [-1, 1]; objects in singleton clusters contribute 0 (sklearn convention).
-// a(i) = mean_distance(i, own, true); b(i) = the minimum of
-// mean_distance(i, l, false) over the other non-empty clusters. The
-// result is bit-identical to evaluating exactly that, at every SIMD
+// a(i) = mean_distance(bank, ds, i, own, true); b(i) = the minimum of
+// mean_distance(bank, ds, i, l, false) over the other non-empty clusters.
+// The result is bit-identical to evaluating exactly that, at every SIMD
 // dispatch level: each object sweeps its present cells once and the k
 // lanes of core::simd::Kernels::acc_f64 repeat mean_distance's additions
 // in its order, so the sweep costs O(d k) additions per object and only
@@ -105,7 +75,9 @@ struct InternalScores {
   double davies_bouldin = 0.0;
 };
 
-// All five internal indices from one PartitionProfile and one mode table.
+// All five internal indices from one label bank and one mode table. Both
+// functions throw std::invalid_argument on a negative label or when the
+// label count differs from the object count.
 InternalScores internal_scores(const data::DatasetView& ds,
                                const std::vector<int>& labels);
 

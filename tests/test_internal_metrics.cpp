@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "core/profile_set.h"
 #include "core/simd.h"
 #include "data/dataset.h"
 #include "data/synthetic.h"
@@ -29,42 +30,55 @@ data::Dataset two_blocks() {
 
 const std::vector<int> kBlockLabels = {0, 0, 0, 1, 1, 1};
 
-// --- PartitionProfile ----------------------------------------------------------
+// --- The label bank ------------------------------------------------------------
 
-TEST(PartitionProfile, CountsAndModes) {
-  const auto ds = two_blocks();
-  const PartitionProfile profile(ds, kBlockLabels);
-  EXPECT_EQ(profile.num_clusters(), 2);
-  EXPECT_EQ(profile.cluster_size(0), 3u);
-  EXPECT_EQ(profile.cluster_size(1), 3u);
-  EXPECT_EQ(profile.count(0, 0, 0), 3);  // cluster 0, feature 0, value 'a'
-  EXPECT_EQ(profile.count(0, 0, 1), 0);
-  EXPECT_EQ(profile.mode(0, 0), 0);
-  EXPECT_EQ(profile.mode(1, 0), 1);
+// The bank every index reads: core::ProfileSet over the labels, with
+// k = max label + 1.
+core::ProfileSet label_bank(const data::DatasetView& ds,
+                            const std::vector<int>& labels) {
+  int k = 0;
+  for (const int l : labels) k = std::max(k, l + 1);
+  return core::ProfileSet::from_assignment(ds, labels, k);
 }
 
-TEST(PartitionProfile, MeanDistanceZeroInsidePureCluster) {
+TEST(LabelBank, CountsAndModes) {
   const auto ds = two_blocks();
-  const PartitionProfile profile(ds, kBlockLabels);
-  EXPECT_DOUBLE_EQ(profile.mean_distance(ds, 0, 0, false), 0.0);
-  EXPECT_DOUBLE_EQ(profile.mean_distance(ds, 0, 0, true), 0.0);
+  const core::ProfileSet bank = label_bank(ds, kBlockLabels);
+  EXPECT_EQ(bank.num_clusters(), 2);
+  EXPECT_EQ(bank.size(0), 3.0);
+  EXPECT_EQ(bank.size(1), 3.0);
+  EXPECT_EQ(bank.count(0, 0, 0), 3.0);  // cluster 0, feature 0, value 'a'
+  EXPECT_EQ(bank.count(0, 0, 1), 0.0);
+  EXPECT_EQ(bank.mode(0)[0], 0);
+  EXPECT_EQ(bank.mode(1)[0], 1);
+}
+
+TEST(LabelBank, MeanDistanceZeroInsidePureCluster) {
+  const auto ds = two_blocks();
+  const core::ProfileSet bank = label_bank(ds, kBlockLabels);
+  EXPECT_DOUBLE_EQ(mean_distance(bank, ds, 0, 0, false), 0.0);
+  EXPECT_DOUBLE_EQ(mean_distance(bank, ds, 0, 0, true), 0.0);
   // Distance from a block-0 row to the pure block-1 cluster is maximal.
-  EXPECT_DOUBLE_EQ(profile.mean_distance(ds, 0, 1, false), 1.0);
+  EXPECT_DOUBLE_EQ(mean_distance(bank, ds, 0, 1, false), 1.0);
 }
 
-TEST(PartitionProfile, SizeMismatchThrows) {
+TEST(LabelBank, MalformedLabelsThrow) {
   const auto ds = two_blocks();
-  EXPECT_THROW(PartitionProfile(ds, {0, 1}), std::invalid_argument);
+  EXPECT_THROW(internal_scores(ds, {0, 1}), std::invalid_argument);
+  EXPECT_THROW(categorical_silhouette(ds, {0, 1}), std::invalid_argument);
+  // from_assignment alone would skip a -1 label.
+  EXPECT_THROW(internal_scores(ds, {0, 0, 0, 1, 1, -1}),
+               std::invalid_argument);
 }
 
-TEST(PartitionProfile, MissingCellsExcluded) {
+TEST(LabelBank, MissingCellsExcluded) {
   data::DatasetBuilder builder({"f1", "f2"});
   builder.add_row({"a", "?"});
   builder.add_row({"a", "x"});
   const auto ds = std::move(builder).build();
-  const PartitionProfile profile(ds, {0, 0});
-  EXPECT_EQ(profile.non_null(0, 0), 2);
-  EXPECT_EQ(profile.non_null(0, 1), 1);
+  const core::ProfileSet bank = label_bank(ds, {0, 0});
+  EXPECT_EQ(bank.non_null(0, 0), 2.0);
+  EXPECT_EQ(bank.non_null(0, 1), 1.0);
 }
 
 // --- Compactness / separation ---------------------------------------------------
@@ -219,18 +233,18 @@ INSTANTIATE_TEST_SUITE_P(Seeds, InternalSweep,
 double reference_silhouette(const data::DatasetView& ds,
                             const std::vector<int>& labels) {
   if (ds.num_objects() == 0) return 0.0;
-  const PartitionProfile profile(ds, labels);
-  const int k = profile.num_clusters();
+  const core::ProfileSet bank = label_bank(ds, labels);
+  const int k = bank.num_clusters();
   if (k < 2) return 0.0;
   double sum = 0.0;
   for (std::size_t i = 0; i < ds.num_objects(); ++i) {
     const int own = labels[i];
-    if (profile.cluster_size(own) <= 1) continue;
-    const double a = profile.mean_distance(ds, i, own, true);
+    if (bank.size(own) <= 1.0) continue;
+    const double a = mean_distance(bank, ds, i, own, true);
     double b = std::numeric_limits<double>::infinity();
     for (int l = 0; l < k; ++l) {
-      if (l == own || profile.cluster_size(l) == 0) continue;
-      b = std::min(b, profile.mean_distance(ds, i, l, false));
+      if (l == own || bank.empty(l)) continue;
+      b = std::min(b, mean_distance(bank, ds, i, l, false));
     }
     if (!std::isfinite(b)) continue;
     const double denom = std::max(a, b);
@@ -239,13 +253,13 @@ double reference_silhouette(const data::DatasetView& ds,
   return sum / static_cast<double>(ds.num_objects());
 }
 
-double reference_mode_distance(const PartitionProfile& profile, std::size_t d,
+double reference_mode_distance(const core::ProfileSet& bank, std::size_t d,
                                int l, int t) {
   int mismatches = 0;
   int compared = 0;
   for (std::size_t r = 0; r < d; ++r) {
-    const data::Value a = profile.mode(l, r);
-    const data::Value b = profile.mode(t, r);
+    const data::Value a = bank.mode(l)[r];
+    const data::Value b = bank.mode(t)[r];
     if (a == data::kMissing || b == data::kMissing) continue;
     ++compared;
     if (a != b) ++mismatches;
@@ -258,7 +272,7 @@ double reference_mode_distance(const PartitionProfile& profile, std::size_t d,
 // mode for every member cell.
 double reference_mode_scatter(const data::DatasetView& ds,
                               const std::vector<int>& labels,
-                              const PartitionProfile& profile, int l) {
+                              const core::ProfileSet& bank, int l) {
   double sum = 0.0;
   std::size_t members = 0;
   for (std::size_t i = 0; i < ds.num_objects(); ++i) {
@@ -268,7 +282,7 @@ double reference_mode_scatter(const data::DatasetView& ds,
     int compared = 0;
     for (std::size_t r = 0; r < ds.num_features(); ++r) {
       const data::Value v = ds.at(i, r);
-      const data::Value m = profile.mode(l, r);
+      const data::Value m = bank.mode(l)[r];
       if (v == data::kMissing || m == data::kMissing) continue;
       ++compared;
       if (v != m) ++mismatches;
@@ -282,13 +296,13 @@ double reference_mode_scatter(const data::DatasetView& ds,
 
 double reference_davies_bouldin(const data::DatasetView& ds,
                                 const std::vector<int>& labels) {
-  const PartitionProfile profile(ds, labels);
-  const int k = profile.num_clusters();
+  const core::ProfileSet bank = label_bank(ds, labels);
+  const int k = bank.num_clusters();
   if (k < 2) return 0.0;
   std::vector<double> scatter(static_cast<std::size_t>(k));
   for (int l = 0; l < k; ++l) {
     scatter[static_cast<std::size_t>(l)] =
-        reference_mode_scatter(ds, labels, profile, l);
+        reference_mode_scatter(ds, labels, bank, l);
   }
   double sum = 0.0;
   for (int l = 0; l < k; ++l) {
@@ -296,7 +310,7 @@ double reference_davies_bouldin(const data::DatasetView& ds,
     for (int t = 0; t < k; ++t) {
       if (t == l) continue;
       const double dist =
-          reference_mode_distance(profile, ds.num_features(), l, t);
+          reference_mode_distance(bank, ds.num_features(), l, t);
       const double numer = scatter[static_cast<std::size_t>(l)] +
                            scatter[static_cast<std::size_t>(t)];
       const double ratio = dist > 0.0
@@ -313,14 +327,14 @@ double reference_davies_bouldin(const data::DatasetView& ds,
 
 double reference_separation(const data::DatasetView& ds,
                             const std::vector<int>& labels) {
-  const PartitionProfile profile(ds, labels);
-  const int k = profile.num_clusters();
+  const core::ProfileSet bank = label_bank(ds, labels);
+  const int k = bank.num_clusters();
   if (k < 2) return 0.0;
   double sum = 0.0;
   int pairs = 0;
   for (int l = 0; l < k; ++l) {
     for (int t = l + 1; t < k; ++t) {
-      sum += reference_mode_distance(profile, ds.num_features(), l, t);
+      sum += reference_mode_distance(bank, ds.num_features(), l, t);
       ++pairs;
     }
   }
@@ -368,20 +382,20 @@ TEST(InternalReference, SeededSweepIsBitIdentical) {
     const data::DatasetView ds =
         c % 2 == 1 ? data::DatasetView(table, rows) : data::DatasetView(table);
 
-    const PartitionProfile profile(ds, labels);
+    const core::ProfileSet bank = label_bank(ds, labels);
     tiny += n <= 2 ? 1 : 0;
-    single += profile.num_clusters() == 1 ? 1 : 0;
+    single += bank.num_clusters() == 1 ? 1 : 0;
     view += ds.is_identity() ? 0 : 1;
     bool has_empty = false;
     bool has_singleton = false;
     bool has_unobserved = false;
-    for (int l = 0; l < profile.num_clusters(); ++l) {
-      const std::size_t size = profile.cluster_size(l);
-      has_empty = has_empty || size == 0;
-      has_singleton = has_singleton || size == 1;
+    for (int l = 0; l < bank.num_clusters(); ++l) {
+      const double size = bank.size(l);
+      has_empty = has_empty || size == 0.0;
+      has_singleton = has_singleton || size == 1.0;
       for (std::size_t r = 0; r < d; ++r) {
         has_unobserved =
-            has_unobserved || (size > 0 && profile.non_null(l, r) == 0);
+            has_unobserved || (size > 0.0 && bank.non_null(l, r) == 0.0);
       }
     }
     empty_id += has_empty ? 1 : 0;
