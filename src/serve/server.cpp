@@ -10,14 +10,13 @@ namespace mcdc::serve {
 ModelServer::ModelServer(std::shared_ptr<const api::Model> model,
                          ServeConfig config)
     : row_width_(model != nullptr ? model->num_features() : config.row_width) {
+  // Throws std::invalid_argument on a row width of 0.
+  queue_ = std::make_unique<BatchQueue>(row_width_, config.max_batch);
   snapshot_ = std::move(model);
-  if (row_width_ > 0) {
-    // The ring is allocated once: growing it batch by batch would copy it
-    // inside stats_mutex_ on the dispatcher thread.
-    latency_us_.reserve(kLatencySamples);
-    queue_ = std::make_unique<BatchQueue>(row_width_, config.max_batch);
-    dispatcher_ = std::thread([this] { dispatch_loop(); });
-  }
+  // The ring is allocated once: growing it batch by batch would copy it
+  // inside stats_mutex_ on the dispatcher thread.
+  latency_us_.reserve(kLatencySamples);
+  dispatcher_ = std::thread([this] { dispatch_loop(); });
 }
 
 ModelServer::~ModelServer() { stop(); }
@@ -29,8 +28,7 @@ std::shared_ptr<const api::Model> ModelServer::snapshot() const {
 
 std::shared_ptr<const api::Model> ModelServer::publish(
     std::shared_ptr<const api::Model> next, const char* context) {
-  if (next != nullptr && row_width_ > 0 &&
-      next->num_features() != row_width_) {
+  if (next != nullptr && next->num_features() != row_width_) {
     throw std::invalid_argument(api::feature_width_message(
         context, row_width_, next->num_features()));
   }
@@ -57,10 +55,6 @@ int ModelServer::predict(const data::Value* row) {
 }
 
 std::future<int> ModelServer::submit(const data::Value* row) {
-  if (queue_ == nullptr) {
-    throw std::logic_error(
-        "ModelServer::submit: server was built without a row width");
-  }
   return queue_->submit(row);
 }
 
@@ -162,7 +156,7 @@ std::vector<double> ModelServer::latency_samples() const {
 }
 
 void ModelServer::stop() {
-  if (queue_ != nullptr) queue_->close();
+  queue_->close();
   if (dispatcher_.joinable()) dispatcher_.join();
 }
 

@@ -58,8 +58,7 @@ struct ServeConfig {
   std::size_t max_batch = BatchQueue::kDefaultMaxBatch;
   // Feature count served when constructed without a model (a server that
   // starts empty and gets its first snapshot via swap()); ignored when a
-  // model is given. 0 with no model = a server that takes swaps but no
-  // requests (submit throws std::logic_error).
+  // model is given.
   std::size_t row_width = 0;
 };
 
@@ -69,6 +68,8 @@ class ModelServer {
   // most recent samples win).
   static constexpr std::size_t kLatencySamples = 1 << 14;
 
+  // Throws std::invalid_argument when neither `model` nor
+  // config.row_width gives a row width.
   explicit ModelServer(std::shared_ptr<const api::Model> model = nullptr,
                        ServeConfig config = {});
   ~ModelServer();
@@ -95,7 +96,6 @@ class ModelServer {
   // Single-row request through the batching queue; blocks until the
   // dispatcher answers. -1 when no snapshot is published. The row must
   // hold row_width() values in the model's encoding; the queue copies it.
-  // Throws std::logic_error when the server was built without a row width.
   int predict(const data::Value* row);
   // The asynchronous form: enqueue now, redeem the label later.
   std::future<int> submit(const data::Value* row);
@@ -129,7 +129,7 @@ class ModelServer {
   mutable std::mutex snapshot_mutex_;
   std::shared_ptr<const api::Model> snapshot_;
 
-  std::unique_ptr<BatchQueue> queue_;  // null when row width is 0
+  std::unique_ptr<BatchQueue> queue_;
   std::thread dispatcher_;
 
   std::atomic<std::uint64_t> swaps_{0};

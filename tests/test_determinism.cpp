@@ -424,7 +424,7 @@ std::uint64_t bank_case_hash(const BankCase& c,
   config.trigger_k = c.trigger_k;
   config.seed = 29;
   auto server = std::make_shared<serve::ModelServer>(
-      c.empty_start ? nullptr : clean);
+      c.empty_start ? nullptr : clean, serve::ServeConfig{.row_width = d});
   serve::OnlineUpdater updater(
       server, serve::make_online_learner(config, cardinalities), config);
   std::uint64_t h = kFnvSeed;

@@ -465,7 +465,8 @@ TEST(DriftBookkeeping, EmptyServerPublishesZeroScoringCandidate) {
   // whose exported candidate still scores the window 0.0, the exact
   // zero-beats-nothing case the publish gate used to wedge on.
   config.streaming.novelty_threshold = 0.0;
-  auto server = std::make_shared<serve::ModelServer>();
+  auto server = std::make_shared<serve::ModelServer>(
+      nullptr, serve::ServeConfig{.row_width = d});
   serve::OnlineUpdater updater(
       server, serve::make_online_learner(config, ds.cardinalities()), config);
   ASSERT_EQ(server->snapshot(), nullptr);
@@ -515,7 +516,8 @@ TEST(DriftDetectorBank, HistCatchesBijectiveFlipTheMeanAlarmMisses) {
   // Default OnlineConfig threshold and the fixed hist thresholds — the
   // point of the test.
   config.drift_threshold = serve::OnlineConfig{}.drift_threshold;
-  auto server = std::make_shared<serve::ModelServer>();
+  auto server = std::make_shared<serve::ModelServer>(
+      nullptr, serve::ServeConfig{.row_width = d});
   serve::OnlineUpdater updater(
       server, serve::make_online_learner(config, cardinalities), config);
 
@@ -561,7 +563,8 @@ TEST(DriftDetectorBank, TriggerPolicyKOfNHoldsWhenOnlyOneFires) {
   config.detector = "mean,hist";
   config.trigger_k = 2;
   config.drift_threshold = serve::OnlineConfig{}.drift_threshold;
-  auto server = std::make_shared<serve::ModelServer>();
+  auto server = std::make_shared<serve::ModelServer>(
+      nullptr, serve::ServeConfig{.row_width = d});
   serve::OnlineUpdater updater(
       server, serve::make_online_learner(config, cardinalities), config);
 
@@ -660,7 +663,8 @@ TEST(DriftDetectorBank, EvidenceJsonCarriesDetectorState) {
 
   serve::OnlineConfig config = tight_online_config();
   config.detector = "hist";
-  auto server = std::make_shared<serve::ModelServer>();
+  auto server = std::make_shared<serve::ModelServer>(
+      nullptr, serve::ServeConfig{.row_width = d});
   serve::OnlineUpdater updater(
       server, serve::make_online_learner(config, cardinalities), config);
   updater.observe(clean.data(), n);

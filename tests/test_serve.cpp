@@ -55,10 +55,9 @@ TEST(ModelServer, EmptyServerAnswersMinusOne) {
   EXPECT_EQ(server.predict(row), -1);  // nothing to assign to — not "0"
 }
 
-TEST(ModelServer, ServerWithoutRowWidthRejectsSubmits) {
-  serve::ModelServer server;  // no model, no width
-  const data::Value row[] = {0};
-  EXPECT_THROW(server.predict(row), std::logic_error);
+TEST(ModelServer, ServerWithoutRowWidthThrows) {
+  // No model and no width: the server could never take a request.
+  EXPECT_THROW(serve::ModelServer{}, std::invalid_argument);
 }
 
 TEST(ModelServer, BatchedPredictMatchesModelPredict) {
