@@ -17,6 +17,7 @@
 //   bench_ablation_design [--runs N] [--paper]
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <vector>
 
@@ -27,7 +28,7 @@
 #include "metrics/indices.h"
 #include "stats/summary.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mcdc;
   const Cli cli(argc, argv);
   const int runs = cli.has("paper") ? 20 : static_cast<int>(cli.get_int("runs", 3));
@@ -114,4 +115,7 @@ int main(int argc, char** argv) {
       "Alg. 1 reset) freezes elimination, and the frozen-rho reading\n"
       "collapses k (DESIGN.md section 5).\n");
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "bench_ablation_design: %s\n", error.what());
+  return 1;
 }

@@ -29,6 +29,7 @@
 //      reads cell-identical data to its materialised twin.
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <numeric>
 #include <vector>
 
@@ -85,7 +86,7 @@ bool banks_equal(const core::ProfileSet& a, const core::ProfileSet& b) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const bool smoke = cli.has("smoke");
   const bool strict = cli.has("strict");
@@ -212,4 +213,7 @@ int main(int argc, char** argv) {
   // acceptance gate); everywhere else they are informative.
   if (strict && !smoke && speedup < 1.5) return 2;
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "bench_data: %s\n", error.what());
+  return 1;
 }

@@ -22,6 +22,7 @@
 // so the record travels across runners without timing flake.
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <vector>
 
 #include "bench_io.h"
@@ -130,7 +131,7 @@ void bench_prepartition(std::size_t n, int max_shards,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const bool smoke = cli.has("smoke");
   const auto n =
@@ -187,4 +188,7 @@ int main(int argc, char** argv) {
     std::printf("record written to %s\n", json_path.c_str());
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "bench_dist: %s\n", error.what());
+  return 1;
 }

@@ -11,6 +11,7 @@
 //
 //   bench_ext_robustness [--runs N] [--paper]
 #include <cstdio>
+#include <exception>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -47,7 +48,7 @@ double mean_ari(const baselines::Clusterer& method, const data::Dataset& ds,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const int runs = cli.has("paper") ? 20 : static_cast<int>(cli.get_int("runs", 3));
 
@@ -182,4 +183,7 @@ int main(int argc, char** argv) {
       "its average rank stays at or near the top across all conditions (the\n"
       "robustness the paper claims in Sec. I and IV-B).\n");
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "bench_ext_robustness: %s\n", error.what());
+  return 1;
 }

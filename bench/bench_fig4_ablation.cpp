@@ -13,6 +13,7 @@
 // stage re-seeding (Alg. 1 line 3 literal reading) and the Lagrange CAME
 // weight update.
 #include <cstdio>
+#include <exception>
 #include <functional>
 #include <iostream>
 
@@ -23,7 +24,7 @@
 #include "metrics/indices.h"
 #include "stats/summary.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mcdc;
   const Cli cli(argc, argv);
   const int runs = cli.has("paper") ? 50 : static_cast<int>(cli.get_int("runs", 5));
@@ -96,4 +97,7 @@ int main(int argc, char** argv) {
       "\nexpected shape (paper): ARI of MCDC >= MCDC4 >= MCDC3 >= MCDC2 ~ "
       "MCDC1 on most datasets.\n");
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "bench_fig4_ablation: %s\n", error.what());
+  return 1;
 }

@@ -6,12 +6,13 @@
 // Output mirrors the figure: for each dataset, the series of ks at every
 // temporary convergence (x = 0 is the initial k0), with the k* marker.
 #include <cstdio>
+#include <exception>
 
 #include "common/cli.h"
 #include "core/mgcpl.h"
 #include "data/registry.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mcdc;
   const Cli cli(argc, argv);
   const auto seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
@@ -42,4 +43,7 @@ int main(int argc, char** argv) {
       "\nexpected shape (paper): a decreasing staircase per dataset whose "
       "final value\nlands on (or immediately next to) the red-star k*.\n");
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "bench_fig5_learning: %s\n", error.what());
+  return 1;
 }

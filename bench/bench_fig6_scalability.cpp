@@ -13,6 +13,7 @@
 // (n fixed). MCDC in (a) starts MGCPL at the default k0 = ceil(sqrt(n)), so
 // its first sweep costs O(d n sqrt(n)) and that curve grows faster than n.
 #include <cstdio>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -66,7 +67,7 @@ void print_header(const char* third) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const std::string sweep = cli.get("sweep", "all");
   const bool paper = cli.has("paper");
@@ -165,4 +166,7 @@ int main(int argc, char** argv) {
       "starts MGCPL\nat k0 = ceil(sqrt(n)): its first sweep costs "
       "O(d n sqrt(n)), faster than linear.\n");
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "bench_fig6_scalability: %s\n", error.what());
+  return 1;
 }

@@ -24,6 +24,7 @@
 // path (ProfileSet::best_clusters — what Model::predict_rows runs).
 #include <cstdio>
 #include <cstdlib>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -90,7 +91,7 @@ double time_blocked_mt(const data::Dataset& ds, const core::ProfileSet& set,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const bool smoke = cli.has("smoke");
   const bool paper = cli.has("paper");
@@ -222,4 +223,7 @@ int main(int argc, char** argv) {
   if (!smoke && !meets_target) return 2;
   if (!smoke && avx2 && !meets_simd_target) return 3;
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "bench_kernel: %s\n", error.what());
+  return 1;
 }

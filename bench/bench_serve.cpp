@@ -39,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
+#include <exception>
 #include <future>
 #include <memory>
 #include <string>
@@ -239,7 +240,7 @@ int run_soak(const std::shared_ptr<const api::Model>& model,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const bool smoke = cli.has("smoke");
   const bool strict = cli.has("strict");
@@ -727,4 +728,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "bench_serve: %s\n", error.what());
+  return 1;
 }

@@ -7,6 +7,7 @@
 // --paper sets the paper's 50 repetitions (default 5, enough for stable
 // means on these datasets since the strongest methods are deterministic).
 #include <cstdio>
+#include <exception>
 #include <iostream>
 
 #include "harness.h"
@@ -14,7 +15,7 @@
 #include "common/table_printer.h"
 #include "common/timer.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mcdc;
   const Cli cli(argc, argv);
   const int runs = cli.has("paper") ? 50 : static_cast<int>(cli.get_int("runs", 5));
@@ -49,4 +50,7 @@ int main(int argc, char** argv) {
       "(DESIGN.md section 4), so compare\nmethod ordering and stability with "
       "the paper, not absolute values.\n");
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "bench_table3_clustering: %s\n", error.what());
+  return 1;
 }

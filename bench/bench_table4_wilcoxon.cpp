@@ -7,6 +7,7 @@
 // "+" = MCDC+F. significantly better; "-" = no significant difference
 // (matching the paper's notation).
 #include <cstdio>
+#include <exception>
 #include <iostream>
 
 #include "harness.h"
@@ -14,7 +15,7 @@
 #include "common/table_printer.h"
 #include "stats/wilcoxon.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mcdc;
   const Cli cli(argc, argv);
   const int runs = cli.has("paper") ? 50 : static_cast<int>(cli.get_int("runs", 5));
@@ -66,4 +67,7 @@ int main(int argc, char** argv) {
                 test.exact ? "exact" : "normal approx.");
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "bench_table4_wilcoxon: %s\n", error.what());
+  return 1;
 }

@@ -9,6 +9,7 @@
 //
 //   ./anomaly_detection [--nodes N] [--outliers O] [--seed S]
 #include <cstdio>
+#include <exception>
 #include <set>
 #include <string>
 #include <vector>
@@ -81,7 +82,7 @@ data::Dataset make_fleet(std::size_t nodes, std::size_t outliers,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const auto nodes = static_cast<std::size_t>(cli.get_int("nodes", 2000));
   const auto outliers = static_cast<std::size_t>(cli.get_int("outliers", 12));
@@ -127,4 +128,7 @@ int main(int argc, char** argv) {
                 budget.size(), found, planted.size());
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "anomaly_detection: %s\n", error.what());
+  return 1;
 }

@@ -12,13 +12,14 @@
 //   ./estimate_k [--seed S]
 #include <cmath>
 #include <cstdio>
+#include <exception>
 #include <string>
 
 #include "api/engine.h"
 #include "common/cli.h"
 #include "data/registry.h"
 
-int main(int argc, char** argv) {
+int main(int argc, char** argv) try {
   using namespace mcdc;
   const Cli cli(argc, argv);
 
@@ -72,4 +73,7 @@ int main(int argc, char** argv) {
                 stage.k == car_report.k ? "  <-" : "");
   }
   return 0;
+} catch (const std::exception& error) {
+  std::fprintf(stderr, "estimate_k: %s\n", error.what());
+  return 1;
 }
