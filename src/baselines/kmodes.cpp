@@ -1,8 +1,8 @@
 #include "baselines/kmodes.h"
 
-#include <utility>
 #include <limits>
 #include <stdexcept>
+#include <utility>
 
 #include "common/rng.h"
 #include "core/profile_set.h"
