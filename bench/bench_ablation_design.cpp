@@ -31,7 +31,8 @@
 int main(int argc, char** argv) try {
   using namespace mcdc;
   const Cli cli(argc, argv);
-  const int runs = cli.has("paper") ? 20 : static_cast<int>(cli.get_int("runs", 3));
+  const int runs =
+      cli.has("paper") ? 20 : static_cast<int>(cli.get_int("runs", 3, 1));
 
   struct Variant {
     std::string name;

@@ -27,7 +27,8 @@
 int main(int argc, char** argv) try {
   using namespace mcdc;
   const Cli cli(argc, argv);
-  const int runs = cli.has("paper") ? 50 : static_cast<int>(cli.get_int("runs", 5));
+  const int runs =
+      cli.has("paper") ? 50 : static_cast<int>(cli.get_int("runs", 5, 1));
 
   using Variant =
       std::function<baselines::ClusterResult(const data::Dataset&, int, std::uint64_t)>;

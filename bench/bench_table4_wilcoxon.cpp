@@ -18,7 +18,8 @@
 int main(int argc, char** argv) try {
   using namespace mcdc;
   const Cli cli(argc, argv);
-  const int runs = cli.has("paper") ? 50 : static_cast<int>(cli.get_int("runs", 5));
+  const int runs =
+      cli.has("paper") ? 50 : static_cast<int>(cli.get_int("runs", 5, 1));
   const double alpha = cli.get_double("alpha", 0.1);
 
   std::printf(

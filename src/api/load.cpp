@@ -25,9 +25,7 @@ LoadedDataset load_dataset(const DatasetSpec& spec) {
   }
 
   data::CsvOptions options;
-  options.delimiter = spec.delimiter;
-  options.has_header = spec.has_header;
-  options.label_column = spec.no_labels ? -2 : spec.label_column;
+  if (spec.no_labels) options.label_column = -2;
   try {
     return {data::read_csv_file(spec.source, options), spec.source, false};
   } catch (const std::exception& error) {

@@ -16,12 +16,10 @@ namespace mcdc::api {
 struct DatasetSpec {
   // Built-in name ("Car.", "Car Evaluation", "Zoo.") or a CSV path.
   std::string source;
-  // CSV only: the file has no class-label column.
+  // CSV only: the file has no class-label column. A CSV is otherwise read
+  // with the data::CsvOptions defaults: comma-separated, no header, the
+  // label in the last column.
   bool no_labels = false;
-  // CSV only: label column when present; -1 = last column.
-  int label_column = -1;
-  char delimiter = ',';
-  bool has_header = false;
   // Generation seed for the simulated extension datasets.
   std::uint64_t seed = 7;
 };

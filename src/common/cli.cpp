@@ -52,13 +52,17 @@ std::string Cli::get(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
-long Cli::get_int(const std::string& key, long fallback) const {
+long Cli::get_int(const std::string& key, long fallback, long min) const {
   const auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return fallback;
   char* end = nullptr;
   errno = 0;
   const long value = std::strtol(it->second.c_str(), &end, 10);
   check_whole_number(key, it->second, end);
+  if (value < min) {
+    throw std::invalid_argument("--" + key + " must be at least " +
+                                std::to_string(min));
+  }
   return value;
 }
 

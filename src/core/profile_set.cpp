@@ -336,21 +336,11 @@ void ProfileSet::weighted_score_all(data::RowRef row, const double* weights,
   const std::size_t d = cardinalities_.size();
   const simd::Kernels& kr = simd::kernels();
   std::fill(out, out + k, 0.0);
-  if (frozen_) {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = row[r];
-      if (!in_domain(r, v)) continue;
-      kr.acc_w_f64(out, weights + r * k, probs_.data() + cell(r, v) * stride_,
-                   k);
-    }
-  } else {
-    for (std::size_t r = 0; r < d; ++r) {
-      const data::Value v = row[r];
-      if (!in_domain(r, v)) continue;
-      kr.quot_w_f64(out, weights + r * k,
-                    counts_.data() + cell(r, v) * stride_,
-                    non_null_.data() + r * stride_, k);
-    }
+  for (std::size_t r = 0; r < d; ++r) {
+    const data::Value v = row[r];
+    if (!in_domain(r, v)) continue;
+    kr.quot_w_f64(out, weights + r * k, counts_.data() + cell(r, v) * stride_,
+                  non_null_.data() + r * stride_, k);
   }
 }
 

@@ -18,11 +18,6 @@ void acc_f64_scalar(double* out, const double* p, std::size_t k) {
   for (std::size_t l = 0; l < k; ++l) out[l] += p[l];
 }
 
-void acc_w_f64_scalar(double* out, const double* w, const double* p,
-                      std::size_t k) {
-  for (std::size_t l = 0; l < k; ++l) out[l] += w[l] * p[l];
-}
-
 void div_f64_scalar(double* out, double denom, std::size_t k) {
   for (std::size_t l = 0; l < k; ++l) out[l] /= denom;
 }
@@ -70,9 +65,8 @@ void score_row_f64_scalar(double* out, const double* bank,
 }
 
 constexpr Kernels kScalarTable = {
-    acc_f64_scalar,  acc_w_f64_scalar,  div_f64_scalar,
-    quot_f64_scalar, quot_w_f64_scalar, argmax_scalar,
-    score_row_f64_scalar,
+    acc_f64_scalar,    div_f64_scalar, quot_f64_scalar,
+    quot_w_f64_scalar, argmax_scalar,  score_row_f64_scalar,
 };
 
 // Level requested by MCDC_SIMD (auto when unset/unrecognised).

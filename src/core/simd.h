@@ -52,15 +52,13 @@ Level set_level(Level level);
 struct Kernels {
   // out[l] += p[l]
   void (*acc_f64)(double* out, const double* p, std::size_t k);
-  // out[l] += w[l] * p[l]   (multiply then add; never fused)
-  void (*acc_w_f64)(double* out, const double* w, const double* p,
-                    std::size_t k);
   // out[l] /= denom   (kept a true division — no reciprocal multiply)
   void (*div_f64)(double* out, double denom, std::size_t k);
   // out[l] += nn[l] > 0.0 ? c[l] / nn[l] : 0.0   (live, unfrozen path)
   void (*quot_f64)(double* out, const double* c, const double* nn,
                    std::size_t k);
-  // out[l] += nn[l] > 0.0 ? w[l] * (c[l] / nn[l]) : 0.0
+  // out[l] += nn[l] > 0.0 ? w[l] * (c[l] / nn[l]) : 0.0   (multiply then
+  // add; never fused)
   void (*quot_w_f64)(double* out, const double* w, const double* c,
                      const double* nn, std::size_t k);
   // First index attaining the strict maximum of s[0..k) — the scoring

@@ -29,19 +29,6 @@ void acc_f64_avx2(double* out, const double* p, std::size_t k) {
   for (; l < k; ++l) out[l] += p[l];
 }
 
-void acc_w_f64_avx2(double* out, const double* w, const double* p,
-                    std::size_t k) {
-  std::size_t l = 0;
-  for (; l + 4 <= k; l += 4) {
-    const __m256d acc = _mm256_loadu_pd(out + l);
-    // mul then add, matching the scalar rounding (no _mm256_fmadd_pd).
-    const __m256d prod =
-        _mm256_mul_pd(_mm256_loadu_pd(w + l), _mm256_loadu_pd(p + l));
-    _mm256_storeu_pd(out + l, _mm256_add_pd(acc, prod));
-  }
-  for (; l < k; ++l) out[l] += w[l] * p[l];
-}
-
 void div_f64_avx2(double* out, double denom, std::size_t k) {
   const __m256d vden = _mm256_set1_pd(denom);
   std::size_t l = 0;
@@ -197,9 +184,8 @@ void score_row_f64_avx2(double* out, const double* bank,
 }
 
 constexpr Kernels kAvx2Table = {
-    acc_f64_avx2,  acc_w_f64_avx2,  div_f64_avx2,
-    quot_f64_avx2, quot_w_f64_avx2, argmax_avx2,
-    score_row_f64_avx2,
+    acc_f64_avx2,    div_f64_avx2, quot_f64_avx2,
+    quot_w_f64_avx2, argmax_avx2,  score_row_f64_avx2,
 };
 
 bool cpu_has_avx2() { return __builtin_cpu_supports("avx2") != 0; }

@@ -47,7 +47,7 @@ class BatchQueue {
 
   // row_width = values per row (the served model's feature count);
   // max_batch = rows per drained batch, where 1 degenerates to an
-  // unbatched request loop (the bench_serve baseline).
+  // unbatched request loop, one sweep per request.
   explicit BatchQueue(std::size_t row_width,
                       std::size_t max_batch = kDefaultMaxBatch);
 

@@ -53,8 +53,8 @@ namespace mcdc::serve {
 double percentile(std::vector<double>& sample, double p);
 
 struct ServeConfig {
-  // Rows per drained batch; 1 degenerates to an unbatched request loop
-  // (the bench_serve baseline).
+  // Rows per drained batch; 1 degenerates to an unbatched request loop,
+  // one sweep per request.
   std::size_t max_batch = BatchQueue::kDefaultMaxBatch;
   // Feature count served when constructed without a model (a server that
   // starts empty and gets its first snapshot via swap()); ignored when a

@@ -144,6 +144,21 @@ TEST(Cli, RejectsValuesThatAreNotWhollyANumber) {
   EXPECT_DOUBLE_EQ(cli.get_double("bare", 0.5), 0.5);
 }
 
+TEST(Cli, RejectsIntegersBelowTheMinimum) {
+  const char* argv[] = {"prog", "--runs", "0", "--k", "-2", "--n", "1"};
+  const Cli cli(7, argv);
+  EXPECT_EQ(cli.get_int("runs", 5), 0);  // no minimum given
+  EXPECT_EQ(cli.get_int("n", 5, 1), 1);
+  EXPECT_EQ(cli.get_int("absent", 5, 1), 5);
+  EXPECT_THROW(cli.get_int("k", 5, 1), std::invalid_argument);
+  try {
+    cli.get_int("runs", 5, 1);
+    FAIL() << "--runs 0 passed a minimum of 1";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "--runs must be at least 1");
+  }
+}
+
 TEST(Cli, BareFlagDoesNotSwallowNextFlag) {
   const char* argv[] = {"prog", "--verbose", "--runs", "3"};
   const Cli cli(4, argv);

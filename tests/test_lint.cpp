@@ -216,7 +216,7 @@ TEST(LintEngine, ScopingHelpers) {
   EXPECT_FALSE(path_in_scoring_scope("src/data/dataset.cpp"));
   EXPECT_FALSE(path_in_scoring_scope("src/stats/wilcoxon.cpp"));
   EXPECT_TRUE(path_clock_allowlisted("src/common/timer.h"));
-  EXPECT_TRUE(path_clock_allowlisted("bench/bench_serve.cpp"));
+  EXPECT_TRUE(path_clock_allowlisted("bench/bench_kernel.cpp"));
   EXPECT_TRUE(path_clock_allowlisted("tools/mcdc_cli.cpp"));
   EXPECT_FALSE(path_clock_allowlisted("src/serve/batch_queue.cpp"));
   EXPECT_TRUE(path_rng_allowlisted("src/common/rng.cpp"));

@@ -5,19 +5,25 @@
 // through ModelServer (must not wedge in-flight batches), the
 // OnlineUpdater drift detector (quiet streams never refit; an injected
 // code-shift refits within a few ticks and the recovered snapshot
-// re-partitions the drifted window like a from-scratch refit), the
-// mcdc-online registry method, and Engine::serve_online binding.
+// re-partitions the drifted window like a from-scratch refit), the loop
+// beside live predict traffic (the same decisions as with none, and a
+// predict + observe + refit storm on a row budget), each detector bank's
+// rows-to-refit after an injected shift, the mcdc-online registry method,
+// and Engine::serve_online binding.
 #include "serve/online.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <future>
 #include <map>
 #include <memory>
 #include <stdexcept>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/artifact.h"
@@ -27,6 +33,7 @@
 #include "core/streaming.h"
 #include "data/synthetic.h"
 #include "serve/server.h"
+#include "serving_case.h"
 
 namespace mcdc {
 namespace {
@@ -686,6 +693,183 @@ TEST(DriftDetectorBank, EvidenceJsonCarriesDetectorState) {
   ASSERT_TRUE(online.contains("refit_detectors"));
   EXPECT_EQ(online.at("refit_detectors").at(0).as_string(), "hist");
   server->stop();
+}
+
+// --- the loop beside live traffic -----------------------------------------
+//
+// The updater is the single writer and predicts only read snapshots, so
+// the loop's decisions under traffic are exactly those of the same stream
+// fed with none. Traffic threads answer at least one request before the
+// stream starts and keep going until it ends.
+
+serve::OnlineConfig traffic_online_config() {
+  serve::OnlineConfig config;
+  config.tick_every = 256;
+  config.window_capacity = 512;
+  return config;
+}
+
+// Feeds the first whole 256-row chunks of the case to an updater over a
+// fresh server while `hammers` threads run blocking predicts; returns the
+// loop's evidence.
+api::OnlineEvidence absorb_beside_predicts(const test::ServingCase& c,
+                                           int hammers) {
+  const serve::OnlineConfig config = traffic_online_config();
+  auto server = std::make_shared<serve::ModelServer>(c.model);
+  serve::OnlineUpdater updater(
+      server, serve::make_online_learner(config, c.ds.cardinalities()),
+      config);
+  std::atomic<bool> done{false};
+  std::atomic<int> ready{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < hammers; ++t) {
+    threads.emplace_back([&, t] {
+      std::size_t i = static_cast<std::size_t>(t);
+      do {
+        EXPECT_GE(server->predict(c.row(i % c.n())), 0);
+        if (i == static_cast<std::size_t>(t)) ready.fetch_add(1);
+        i += static_cast<std::size_t>(hammers);
+      } while (!done.load());
+    });
+  }
+  while (ready.load() < hammers) std::this_thread::yield();
+  for (std::size_t i = 0; i + 256 <= c.n(); i += 256) {
+    updater.observe(c.row(i), 256);
+  }
+  updater.tick();
+  done.store(true);
+  for (std::thread& thread : threads) thread.join();
+  server->stop();
+  return updater.evidence();
+}
+
+TEST(OnlineLoop, AbsorbsTheStreamBesideConcurrentPredicts) {
+  const test::ServingCase c = test::serving_case(2000);
+  const api::OnlineEvidence quiet = absorb_beside_predicts(c, 0);
+  const api::OnlineEvidence busy = absorb_beside_predicts(c, 3);
+  const std::uint64_t fed = c.n() / 256 * 256;
+  EXPECT_EQ(busy.rows_observed, fed);
+  EXPECT_EQ(busy.rows_absorbed, fed);
+  EXPECT_EQ(busy.ticks, fed / 256 + 1);  // the cadence, then tick()
+  EXPECT_GE(busy.generation, 1u);
+  EXPECT_EQ(busy.swaps, quiet.swaps);
+  EXPECT_EQ(busy.refits, quiet.refits);
+  EXPECT_EQ(busy.holds, quiet.holds);
+  EXPECT_EQ(busy.generation, quiet.generation);
+  EXPECT_EQ(busy.clusters, quiet.clusters);
+  EXPECT_EQ(busy.drift_scores, quiet.drift_scores);
+}
+
+TEST(OnlineLoop, SoakStormOnARowBudget) {
+  // Four producers keep up to 128 requests in flight while this thread,
+  // the updater's single writer, cycles the trace in 64-row chunks,
+  // alternating the original codes and a shifted recode pass by pass. The
+  // ensemble bank turns the shifts into refits, so refits and swaps land
+  // under load. A row budget ends the storm, and the loop's own decisions
+  // are row-counted.
+  const test::ServingCase c = test::serving_case(2000);
+  const std::vector<data::Value> shifted =
+      shift_codes(c.rows, c.ds.cardinalities());
+  serve::OnlineConfig config = traffic_online_config();
+  config.detector = "ensemble";
+  auto server = std::make_shared<serve::ModelServer>(c.model);
+  serve::OnlineUpdater updater(
+      server, serve::make_online_learner(config, c.ds.cardinalities()),
+      config);
+
+  constexpr int kProducers = 4;
+  std::atomic<bool> done{false};
+  std::atomic<int> ready{0};
+  std::atomic<std::uint64_t> answered{0};
+  std::vector<std::thread> producers;
+  for (int t = 0; t < kProducers; ++t) {
+    producers.emplace_back([&, t] {
+      std::vector<std::future<int>> window;
+      std::uint64_t count = 0;
+      const auto drain = [&] {
+        for (std::future<int>& label : window) {
+          EXPECT_GE(label.get(), 0);
+          ++count;
+        }
+        window.clear();
+      };
+      std::size_t i = static_cast<std::size_t>(t);
+      do {
+        window.push_back(server->submit(c.row(i % c.n())));
+        if (i == static_cast<std::size_t>(t)) ready.fetch_add(1);
+        i += kProducers;
+        if (window.size() >= 128) drain();
+      } while (!done.load(std::memory_order_relaxed));
+      drain();
+      answered.fetch_add(count);
+    });
+  }
+  while (ready.load() < kProducers) std::this_thread::yield();
+
+  constexpr std::size_t kChunk = 64;
+  constexpr int kPasses = 32;
+  std::uint64_t fed = 0;
+  for (int pass = 0; pass < kPasses; ++pass) {
+    const std::vector<data::Value>& src = pass % 2 == 0 ? c.rows : shifted;
+    for (std::size_t i = 0; i + kChunk <= c.n(); i += kChunk) {
+      updater.observe(src.data() + i * c.d(), kChunk);
+      fed += kChunk;
+    }
+  }
+  done.store(true);
+  for (std::thread& thread : producers) thread.join();
+  server->stop();
+
+  const api::OnlineEvidence evidence = updater.evidence();
+  EXPECT_EQ(evidence.rows_observed, fed);
+  EXPECT_EQ(evidence.ticks, fed / config.tick_every);
+  EXPECT_GE(evidence.generation, 1u);
+  EXPECT_GE(evidence.refits, 1u);
+  EXPECT_GE(answered.load(), static_cast<std::uint64_t>(kProducers));
+  EXPECT_EQ(server->stats().requests, answered.load());
+}
+
+// --- rows to refit, per detector bank --------------------------------------
+//
+// Row-counted and clock-free, so pinned exactly. Two clean windows and
+// half a cadence (1,280 rows in 256-row chunks) settle the baseline. The
+// half-cadence tail keeps the injection off a publish, which rebases every
+// detector, and puts the first tick after it at a half-drifted window.
+// Then the code-shifted trace arrives one row at a time until the bank
+// refits, within a budget of four windows.
+
+TEST(OnlineLoop, EachDriftBankRefitsAfterAPinnedRowCount) {
+  const test::ServingCase c = test::serving_case(20000);
+  const std::vector<data::Value> shifted =
+      shift_codes(c.rows, c.ds.cardinalities());
+  constexpr std::size_t kWindow = 512;
+  constexpr std::size_t kWarmup = 2 * kWindow + kWindow / 2;
+  constexpr std::size_t kBudget = 4 * kWindow;
+  // mean, ph, quantile and the ensemble refit at the first tick after the
+  // injection; hist, on pooled marginals, only at the second.
+  const std::pair<const char*, std::size_t> banks[] = {
+      {"mean", 256}, {"hist", 768}, {"ph", 256}, {"quantile", 256},
+      {"ensemble", 256}};
+  for (const auto& [spec, rows_to_refit] : banks) {
+    SCOPED_TRACE(spec);
+    serve::OnlineConfig config;
+    config.tick_every = kWindow;
+    config.window_capacity = kWindow;
+    config.detector = spec;
+    auto server = std::make_shared<serve::ModelServer>(c.model);
+    serve::OnlineUpdater updater(
+        server, serve::make_online_learner(config, c.ds.cardinalities()),
+        config);
+    for (std::size_t i = 0; i < kWarmup; i += 256) updater.observe(c.row(i), 256);
+    ASSERT_EQ(updater.evidence().refits, 0u);
+    std::size_t fed = 0;
+    while (fed < kBudget && updater.evidence().refits == 0) {
+      updater.observe(shifted.data() + fed * c.d(), 1);
+      ++fed;
+    }
+    EXPECT_EQ(fed, rows_to_refit);
+    server->stop();
+  }
 }
 
 // --- mcdc-online registry method ------------------------------------------

@@ -2,17 +2,22 @@
 // atomicity under concurrent predict traffic (every answered label must be
 // valid for *some* published snapshot — no torn reads), the empty-model
 // -1 contract, field-exact JSON hot-reload, feature-width validation on
-// swap, BatchQueue mechanics, the sharded ServingCluster, and the serving
-// stats counters. This suite (with test_dist) also runs under ThreadSanitizer in
-// CI — the real torn-read gate.
+// swap, BatchQueue mechanics, the sharded ServingCluster, the serving
+// stats counters, and label exactness under load (pipelined producers at
+// one row and 256 rows per batch, a paced open loop, a swap_json storm,
+// 1- and 4-shard clusters, rolling swaps mid-traffic). This suite (with
+// test_dist) also runs under ThreadSanitizer in CI — the real torn-read
+// gate.
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <future>
 #include <memory>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "api/engine.h"
@@ -21,6 +26,7 @@
 #include "dist/prepartition.h"
 #include "serve/batch_queue.h"
 #include "serve/cluster.h"
+#include "serving_case.h"
 
 namespace mcdc {
 namespace {
@@ -483,6 +489,160 @@ TEST(ServingCluster, ConcurrentPredictsDuringRollsNeverTearOrStall) {
   EXPECT_FALSE(end.mixed);
   EXPECT_EQ(end.target, 21u);
   EXPECT_EQ(end.rolling_swaps, 20u);
+}
+
+// --- exactness under load ---------------------------------------------------
+//
+// Every served label equals the bulk Model::predict label of its row,
+// however the requests were batched, paced, sharded or swapped under.
+
+// Pipelined producers: row i goes to producer i % producers, and each
+// producer keeps up to 128 requests in flight, so the dispatcher has
+// batches to coalesce (a blocking producer caps every batch at
+// `producers` rows). A producer repeats its pass while `more()` holds.
+// Returns how many answers differ from the bulk labels.
+template <typename Server, typename More>
+std::size_t drive(Server& server, const test::ServingCase& c, int producers,
+                  More more) {
+  std::atomic<std::size_t> wrong{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < producers; ++t) {
+    threads.emplace_back([&, t] {
+      std::vector<std::pair<std::size_t, std::future<int>>> window;
+      std::size_t mismatches = 0;
+      const auto drain = [&] {
+        for (auto& [i, label] : window) {
+          if (label.get() != c.reference[i]) ++mismatches;
+        }
+        window.clear();
+      };
+      do {
+        for (auto i = static_cast<std::size_t>(t); i < c.n();
+             i += static_cast<std::size_t>(producers)) {
+          window.emplace_back(i, server.submit(c.row(i)));
+          if (window.size() >= 128) drain();
+        }
+        drain();
+      } while (more());
+      wrong.fetch_add(mismatches);
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  return wrong.load();
+}
+
+const auto one_pass = [] { return false; };
+
+TEST(ServingExactness, PipelinedProducersGetBulkLabelsAtBatchOneAnd256) {
+  const test::ServingCase c = test::serving_case(2000);
+  for (const std::size_t max_batch : {std::size_t{1}, std::size_t{256}}) {
+    SCOPED_TRACE(testing::Message() << "max_batch " << max_batch);
+    serve::ServeConfig config;
+    config.max_batch = max_batch;
+    serve::ModelServer server(c.model, config);
+    EXPECT_EQ(drive(server, c, 4, one_pass), 0u);
+    server.stop();
+    const api::ServeEvidence stats = server.stats();
+    EXPECT_EQ(stats.requests, c.n());
+    if (max_batch == 1) EXPECT_EQ(stats.batches, stats.requests);
+  }
+}
+
+TEST(ServingExactness, PacedOpenLoopGetsBulkLabels) {
+  // One request every 25 us whatever the completions, redeemed only after
+  // the last submit: the submitter never waits on the server, so batches
+  // hold whatever arrived within a linger.
+  const test::ServingCase c = test::serving_case(2000);
+  serve::ModelServer server(c.model);
+  std::vector<std::future<int>> labels;
+  labels.reserve(c.n());
+  const auto start = std::chrono::steady_clock::now();
+  for (std::size_t i = 0; i < c.n(); ++i) {
+    std::this_thread::sleep_until(
+        start + std::chrono::microseconds(25 * static_cast<long>(i)));
+    labels.push_back(server.submit(c.row(i)));
+  }
+  for (std::size_t i = 0; i < c.n(); ++i) {
+    EXPECT_EQ(labels[i].get(), c.reference[i]) << "row " << i;
+  }
+}
+
+TEST(ServingExactness, SwapJsonStormKeepsBulkLabels) {
+  // The swapper reloads the same model from its JSON every 200 us once a
+  // producer has finished a pass, and the producers repeat their passes
+  // until it has published twice: the swaps land mid-traffic however the
+  // threads are scheduled.
+  const test::ServingCase c = test::serving_case(2000);
+  serve::ModelServer server(c.model);
+  const api::Json reload = c.model->to_json(false);
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  std::atomic<int> swaps{0};
+  std::thread swapper([&] {
+    while (!started.load()) std::this_thread::yield();
+    while (!done.load()) {
+      server.swap_json(reload);
+      swaps.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
+  const auto until_two_swaps = [&] {
+    started.store(true);
+    return swaps.load() < 2;
+  };
+  EXPECT_EQ(drive(server, c, 4, until_two_swaps), 0u);
+  done.store(true);
+  swapper.join();
+  server.stop();
+  EXPECT_GE(server.stats().swaps, 2u);
+}
+
+TEST(ServingExactness, OneAndFourShardClustersGetBulkLabels) {
+  const test::ServingCase c = test::serving_case(2000);
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(testing::Message() << shards << " shard(s)");
+    serve::ClusterConfig config;
+    config.num_shards = shards;
+    serve::ServingCluster cluster(c.model, config);
+    EXPECT_EQ(drive(cluster, c, 4, one_pass), 0u);
+    cluster.stop();
+    std::uint64_t routed = 0;
+    for (const std::uint64_t r : cluster.stats().routed) routed += r;
+    EXPECT_EQ(routed, c.n());
+  }
+}
+
+TEST(ServingExactness, RollingSwapsMidTrafficKeepBulkLabels) {
+  // Same scheme as the swap storm: the roller republishes across all four
+  // shards every millisecond once a pass is done, and traffic lasts until
+  // two rolls have completed.
+  const test::ServingCase c = test::serving_case(2000);
+  serve::ClusterConfig config;
+  config.num_shards = 4;
+  serve::ServingCluster cluster(c.model, config);
+  std::atomic<bool> started{false};
+  std::atomic<bool> done{false};
+  std::atomic<int> rolls{0};
+  std::thread roller([&] {
+    while (!started.load()) std::this_thread::yield();
+    while (!done.load()) {
+      cluster.rolling_swap(c.model);
+      rolls.fetch_add(1);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  });
+  const auto until_two_rolls = [&] {
+    started.store(true);
+    return rolls.load() < 2;
+  };
+  EXPECT_EQ(drive(cluster, c, 4, until_two_rolls), 0u);
+  done.store(true);
+  roller.join();
+  cluster.stop();
+  const serve::GenerationStatus gen = cluster.generations();
+  EXPECT_GE(gen.rolling_swaps, 2u);
+  EXPECT_EQ(gen.target, gen.rolling_swaps + 1);
+  EXPECT_FALSE(gen.mixed);
 }
 
 }  // namespace
