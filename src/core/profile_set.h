@@ -128,10 +128,9 @@ class ProfileSet {
   // feature-major sweep. `out` must hold num_clusters() doubles.
   void score_all(data::RowRef row, double* out) const;
   // Batched Eq. (14): weights are feature-major, weights[r * k + l] = w_rl
-  // (each cluster's weight column sums to 1, so no 1/d factor). Divides
-  // the live counts even on a frozen bank (its sweeps change the bank
-  // between rows and never freeze it); the quotients are the frozen
-  // cache's, so the scores are too.
+  // (each cluster's weight column sums to 1, so no 1/d factor). Always
+  // divides the live counts: its callers change the bank between rows and
+  // never freeze it, and a frozen cache holds the same quotients anyway.
   void weighted_score_all(data::RowRef row, const double* weights,
                           double* out) const;
   // Eq. (1) against a single cluster (the anomaly eccentricity path).

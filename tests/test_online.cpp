@@ -699,8 +699,7 @@ TEST(DriftDetectorBank, EvidenceJsonCarriesDetectorState) {
 //
 // The updater is the single writer and predicts only read snapshots, so
 // the loop's decisions under traffic are exactly those of the same stream
-// fed with none. Traffic threads answer at least one request before the
-// stream starts and keep going until it ends.
+// fed with none.
 
 serve::OnlineConfig traffic_online_config() {
   serve::OnlineConfig config;
@@ -709,36 +708,72 @@ serve::OnlineConfig traffic_online_config() {
   return config;
 }
 
-// Feeds the first whole 256-row chunks of the case to an updater over a
-// fresh server while `hammers` threads run blocking predicts; returns the
-// loop's evidence.
+// Predict traffic beside the updater: `producers` threads cycle the case's
+// rows, each keeping up to `in_flight` requests pending (1 is a blocking
+// client), until stop(). Every producer has submitted before the
+// constructor returns, so the traffic overlaps whatever follows it. Every
+// answer must be a cluster of the snapshot that served it.
+class Traffic {
+ public:
+  Traffic(serve::ModelServer& server, const test::ServingCase& c,
+          int producers, std::size_t in_flight) {
+    const auto stride = static_cast<std::size_t>(producers);
+    for (int t = 0; t < producers; ++t) {
+      threads_.emplace_back([this, &server, &c, t, stride, in_flight] {
+        std::vector<std::future<int>> window;
+        std::uint64_t count = 0;
+        const auto drain = [&] {
+          for (std::future<int>& label : window) EXPECT_GE(label.get(), 0);
+          count += window.size();
+          window.clear();
+        };
+        for (auto i = static_cast<std::size_t>(t);; i += stride) {
+          window.push_back(server.submit(c.row(i % c.n())));
+          if (i == static_cast<std::size_t>(t)) ready_.fetch_add(1);
+          if (window.size() >= in_flight) drain();
+          if (done_.load(std::memory_order_relaxed)) break;
+        }
+        drain();
+        answered_.fetch_add(count);
+      });
+    }
+    while (ready_.load() < producers) std::this_thread::yield();
+  }
+  ~Traffic() { stop(); }
+  Traffic(const Traffic&) = delete;
+  Traffic& operator=(const Traffic&) = delete;
+
+  // Joins the producers; returns the requests they had answered.
+  std::uint64_t stop() {
+    done_.store(true);
+    for (std::thread& thread : threads_) {
+      if (thread.joinable()) thread.join();
+    }
+    return answered_.load();
+  }
+
+ private:
+  std::atomic<bool> done_{false};
+  std::atomic<int> ready_{0};
+  std::atomic<std::uint64_t> answered_{0};
+  std::vector<std::thread> threads_;
+};
+
+// Feeds the case's whole 256-row chunks to an updater over a fresh server
+// beside `clients` blocking clients, then ticks; returns the evidence.
 api::OnlineEvidence absorb_beside_predicts(const test::ServingCase& c,
-                                           int hammers) {
+                                           int clients) {
   const serve::OnlineConfig config = traffic_online_config();
   auto server = std::make_shared<serve::ModelServer>(c.model);
   serve::OnlineUpdater updater(
       server, serve::make_online_learner(config, c.ds.cardinalities()),
       config);
-  std::atomic<bool> done{false};
-  std::atomic<int> ready{0};
-  std::vector<std::thread> threads;
-  for (int t = 0; t < hammers; ++t) {
-    threads.emplace_back([&, t] {
-      std::size_t i = static_cast<std::size_t>(t);
-      do {
-        EXPECT_GE(server->predict(c.row(i % c.n())), 0);
-        if (i == static_cast<std::size_t>(t)) ready.fetch_add(1);
-        i += static_cast<std::size_t>(hammers);
-      } while (!done.load());
-    });
-  }
-  while (ready.load() < hammers) std::this_thread::yield();
+  Traffic traffic(*server, c, clients, 1);
   for (std::size_t i = 0; i + 256 <= c.n(); i += 256) {
     updater.observe(c.row(i), 256);
   }
   updater.tick();
-  done.store(true);
-  for (std::thread& thread : threads) thread.join();
+  traffic.stop();
   server->stop();
   return updater.evidence();
 }
@@ -777,47 +812,17 @@ TEST(OnlineLoop, SoakStormOnARowBudget) {
       server, serve::make_online_learner(config, c.ds.cardinalities()),
       config);
 
-  constexpr int kProducers = 4;
-  std::atomic<bool> done{false};
-  std::atomic<int> ready{0};
-  std::atomic<std::uint64_t> answered{0};
-  std::vector<std::thread> producers;
-  for (int t = 0; t < kProducers; ++t) {
-    producers.emplace_back([&, t] {
-      std::vector<std::future<int>> window;
-      std::uint64_t count = 0;
-      const auto drain = [&] {
-        for (std::future<int>& label : window) {
-          EXPECT_GE(label.get(), 0);
-          ++count;
-        }
-        window.clear();
-      };
-      std::size_t i = static_cast<std::size_t>(t);
-      do {
-        window.push_back(server->submit(c.row(i % c.n())));
-        if (i == static_cast<std::size_t>(t)) ready.fetch_add(1);
-        i += kProducers;
-        if (window.size() >= 128) drain();
-      } while (!done.load(std::memory_order_relaxed));
-      drain();
-      answered.fetch_add(count);
-    });
-  }
-  while (ready.load() < kProducers) std::this_thread::yield();
-
+  Traffic traffic(*server, c, 4, 128);
   constexpr std::size_t kChunk = 64;
-  constexpr int kPasses = 32;
   std::uint64_t fed = 0;
-  for (int pass = 0; pass < kPasses; ++pass) {
+  for (int pass = 0; pass < 32; ++pass) {
     const std::vector<data::Value>& src = pass % 2 == 0 ? c.rows : shifted;
     for (std::size_t i = 0; i + kChunk <= c.n(); i += kChunk) {
       updater.observe(src.data() + i * c.d(), kChunk);
       fed += kChunk;
     }
   }
-  done.store(true);
-  for (std::thread& thread : producers) thread.join();
+  const std::uint64_t answered = traffic.stop();
   server->stop();
 
   const api::OnlineEvidence evidence = updater.evidence();
@@ -825,8 +830,8 @@ TEST(OnlineLoop, SoakStormOnARowBudget) {
   EXPECT_EQ(evidence.ticks, fed / config.tick_every);
   EXPECT_GE(evidence.generation, 1u);
   EXPECT_GE(evidence.refits, 1u);
-  EXPECT_GE(answered.load(), static_cast<std::uint64_t>(kProducers));
-  EXPECT_EQ(server->stats().requests, answered.load());
+  EXPECT_GE(answered, 4u);
+  EXPECT_EQ(server->stats().requests, answered);
 }
 
 // --- rows to refit, per detector bank --------------------------------------
@@ -860,7 +865,9 @@ TEST(OnlineLoop, EachDriftBankRefitsAfterAPinnedRowCount) {
     serve::OnlineUpdater updater(
         server, serve::make_online_learner(config, c.ds.cardinalities()),
         config);
-    for (std::size_t i = 0; i < kWarmup; i += 256) updater.observe(c.row(i), 256);
+    for (std::size_t i = 0; i < kWarmup; i += 256) {
+      updater.observe(c.row(i), 256);
+    }
     ASSERT_EQ(updater.evidence().refits, 0u);
     std::size_t fed = 0;
     while (fed < kBudget && updater.evidence().refits == 0) {

@@ -544,7 +544,9 @@ TEST(ServingExactness, PipelinedProducersGetBulkLabelsAtBatchOneAnd256) {
     server.stop();
     const api::ServeEvidence stats = server.stats();
     EXPECT_EQ(stats.requests, c.n());
-    if (max_batch == 1) EXPECT_EQ(stats.batches, stats.requests);
+    if (max_batch == 1) {
+      EXPECT_EQ(stats.batches, stats.requests);
+    }
   }
 }
 
