@@ -25,7 +25,8 @@
 // of every anomaly score on an identity and on an indirect view. So are
 // the two histogram consumers no method golden reaches bit for bit:
 // dist::group_nodes (dominant values and consistency bits) and the k-modes
-// labels where a cluster observes no value of a feature.
+// labels where a cluster observes no value of a feature. MGCPL's stages are
+// pinned at the k0 the benchmark's 50k-row fits start from.
 //
 // The width-1 results are additionally pinned as FNV-1a goldens (the same
 // hash and guard as the 18-method table in test_profile_set.cpp): a moved
@@ -848,6 +849,57 @@ TEST(BankConsumerDeterminism, KModesLabelsArePinned) {
   }
 #if defined(__linux__) && defined(__GLIBC__)
   EXPECT_EQ(h, 0xcc0221f9fff004f0ULL) << "k-modes labels drifted";
+#endif
+}
+
+// Large-k MGCPL golden: k0, every stage's (k_before, k_after, passes) and
+// every stage partition of Mgcpl::run at the k0 the benchmark's 50k-row
+// fits start from (a lane bitmap four 64-bit words wide), on a table of
+// that family and on Con. (missing cells, k0 near n), at both dispatch
+// levels. The other MGCPL goldens all start at k0 <= 71.
+std::uint64_t mgcpl_hash(std::uint64_t h, const data::Dataset& ds, int k0,
+                         std::uint64_t seed) {
+  core::MgcplConfig config;
+  config.k0 = k0;
+  const core::MgcplResult result = core::Mgcpl(config).run(ds, seed);
+  h = fnv1a(h, {result.k0});
+  for (const core::MgcplStageStats& stage : result.stages) {
+    h = fnv1a(h, {stage.k_before, stage.k_after, stage.passes});
+  }
+  for (const std::vector<int>& partition : result.partitions) {
+    h = fnv1a(h, partition);
+  }
+  return h;
+}
+
+TEST(MgcplDeterminism, LargeK0StagesArePinnedAtBothDispatchLevels) {
+  data::NestedConfig config;
+  config.num_objects = 5000;
+  config.num_features = 16;
+  config.coarse_features = 8;
+  config.num_coarse = 8;
+  config.fine_per_coarse = 4;
+  config.cardinality = 32;
+  config.purity = 0.9;
+  config.seed = 3101;
+  const data::Dataset nested = data::nested(config).dataset;
+  const data::Dataset con = data::load("Con.");
+  ASSERT_TRUE(con.has_missing());
+  const core::simd::Level entry = core::simd::level();
+  std::uint64_t hashes[2] = {kFnvSeed, kFnvSeed};
+  for (const core::simd::Level level :
+       {core::simd::Level::kScalar, core::simd::Level::kAvx2}) {
+    core::simd::set_level(level);
+    std::uint64_t& h = hashes[static_cast<std::size_t>(level)];
+    h = mgcpl_hash(h, nested, 224, 3102);
+    h = mgcpl_hash(h, con, 200, 3103);
+  }
+  core::simd::set_level(entry);
+  EXPECT_EQ(hashes[1], hashes[0])
+      << "MGCPL stages diverged between the scalar and "
+      << core::simd::level_name(core::simd::level()) << " kernel tables";
+#if defined(__linux__) && defined(__GLIBC__)
+  EXPECT_EQ(hashes[0], 0xbaca1048d6bc8f77ULL) << "large-k MGCPL stages drifted";
 #endif
 }
 
