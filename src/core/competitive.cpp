@@ -1,6 +1,8 @@
 #include "core/competitive.h"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cmath>
 #include <stdexcept>
 
@@ -48,7 +50,6 @@ CompetitiveStage::CompetitiveStage(const data::DatasetView& ds,
 }
 
 int CompetitiveStage::run() {
-  const std::size_t n = ds_.num_objects();
   int passes = 0;
   const auto k_start = static_cast<std::size_t>(set_.num_clusters());
   // Elimination quota that ends the stage (0 = no quota).
@@ -61,82 +62,7 @@ int CompetitiveStage::run() {
 
   while (passes < config_.max_passes) {
     ++passes;
-    bool changed = false;
-
-    for (std::size_t i = 0; i < n; ++i) {
-      const data::RowRef row = ds_.row(i);
-      const auto k = static_cast<std::size_t>(set_.num_clusters());
-      if (k == 1) {
-        // A lone cluster trivially wins every object.
-        if (assignment_[i] != 0) {
-          if (assignment_[i] >= 0) {
-            set_.move(assignment_[i], 0, row);
-          } else {
-            set_.add(0, row);
-          }
-          assignment_[i] = 0;
-          changed = true;
-        }
-        g_cur_[0] += 1.0;
-        if (config_.cumulative_rho) g_prev_[0] += 1.0;
-        continue;
-      }
-
-      double g_total = 0.0;
-      for (double g : g_prev_) g_total += g;
-
-      // One batched sweep scores x_i against every cluster (Eq. 14 with the
-      // per-cluster weight columns). The Eq. (7) penalty transform is
-      // elementwise, after which winner (Eq. 6) and rival (Eq. 9) are two
-      // vectorised lowest-id argmax scans — the second with the winner
-      // masked by a sentinel below any transformed score (all are >= 0).
-      // This reproduces the classic single-pass top-2 scan exactly,
-      // including its lowest-id tie resolution, keeping runs reproducible.
-      scores_.resize(k);
-      set_.weighted_score_all(row, wt_.data(), scores_.data());
-      for (std::size_t l = 0; l < k; ++l) {
-        // Eq. (7); under cumulative_rho g_prev_ mirrors the
-        // stage-cumulative counts, otherwise it holds the previous sweep's
-        // frozen counts.
-        const double rho = g_total > 0.0 ? g_prev_[l] / g_total : 0.0;
-        scores_[l] = (1.0 - rho) * u_[l] * scores_[l];
-      }
-      const simd::Kernels& kr = simd::kernels();
-      const auto v = static_cast<std::size_t>(kr.argmax(scores_.data(), k));
-      scores_[v] = -1.0;
-      const auto h = static_cast<std::size_t>(kr.argmax(scores_.data(), k));
-
-      // Assign x_i to the winner (Eq. 4 row update).
-      const int old = assignment_[i];
-      if (old != static_cast<int>(v)) {
-        if (old >= 0) {
-          set_.move(old, static_cast<int>(v), row);
-        } else {
-          set_.add(static_cast<int>(v), row);
-        }
-        assignment_[i] = static_cast<int>(v);
-        changed = true;
-      }
-      g_cur_[v] += 1.0;  // Eq. (10)
-      if (config_.cumulative_rho) g_prev_[v] += 1.0;
-
-      if (config_.update == WeightUpdate::sigmoid_rival) {
-        delta_[v] += config_.eta;  // Eq. (12)
-        // Eq. (13): rival pushed away proportionally to closeness. The
-        // similarity is re-evaluated after the move because the winner's
-        // (and a moved-from rival's) histogram just changed.
-        const double penalty_sim =
-            config_.penalty_uses_winner_similarity
-                ? set_.weighted_score_one(static_cast<int>(v), row, omega_[v])
-                : set_.weighted_score_one(static_cast<int>(h), row, omega_[h]);
-        delta_[h] -= config_.eta * penalty_sim;
-        u_[v] = cluster_weight_sigmoid(delta_[v]);
-        u_[h] = cluster_weight_sigmoid(delta_[h]);
-      } else {
-        u_[v] += config_.eta;  // Eq. (8), winner-only reward
-      }
-    }
-
+    const bool changed = sweep();
     prune_empty_clusters();
     if (config_.feature_weighting) refresh_feature_weights();
     if (!config_.cumulative_rho) {
@@ -150,6 +76,214 @@ int CompetitiveStage::run() {
     }
   }
   return passes;
+}
+
+bool CompetitiveStage::sweep() {
+  const std::size_t n = ds_.num_objects();
+  const std::size_t d = ds_.num_features();
+  const std::vector<int>& cards = ds_.cardinalities();
+  const auto k = static_cast<std::size_t>(set_.num_clusters());
+  const bool seeding =
+      std::find(assignment_.begin(), assignment_.end(), -1) != assignment_.end();
+  if (k > 1) {
+    if (seeding) {
+      build_lane_bitmap();
+    } else {
+      build_quotient_cache();
+    }
+  }
+  // Eq. (7)'s sum of g. Every count is integral, so the running sum equals
+  // the re-summed one bit for bit.
+  double g_total = 0.0;
+  for (const double g : g_prev_) g_total += g;
+  scores_.resize(k);
+  row_cells_.resize(d);
+  bool changed = false;
+
+  for (std::size_t i = 0; i < n; ++i) {
+    const data::RowRef row = ds_.row(i);
+    // A lone cluster trivially wins every object.
+    std::size_t v = 0;
+    std::size_t h = 0;
+    if (k > 1) {
+      for (std::size_t r = 0; r < d; ++r) {
+        const data::Value x = row[r];
+        row_cells_[r] =
+            x >= 0 && x < cards[r] ? set_.cell(r, x) : simd::kNoCell;
+      }
+      if (seeding) {
+        score_nonzero_lanes();
+      } else {
+        score_cached();
+      }
+      // The Eq. (7) penalty transform. Under cumulative_rho g_prev_
+      // mirrors the stage-cumulative counts, otherwise it holds the
+      // previous sweep's frozen counts. With rho = 0, (1 - rho) * u * s is
+      // u * s exactly.
+      if (g_total > 0.0) {
+        for (std::size_t l = 0; l < k; ++l) {
+          scores_[l] = (1.0 - g_prev_[l] / g_total) * u_[l] * scores_[l];
+        }
+      } else {
+        for (std::size_t l = 0; l < k; ++l) scores_[l] = u_[l] * scores_[l];
+      }
+      // Winner (Eq. 6) and rival (Eq. 9) in one scan with lowest-id ties:
+      // the same pair as an argmax followed by a second argmax with the
+      // winner masked below every score (all are >= 0).
+      double best = -1.0;
+      double second = -1.0;
+      for (std::size_t l = 0; l < k; ++l) {
+        const double s = scores_[l];
+        if (s > best) {
+          second = best;
+          h = v;
+          best = s;
+          v = l;
+        } else if (s > second) {
+          second = s;
+          h = l;
+        }
+      }
+    }
+
+    // Assign x_i to the winner (Eq. 4 row update).
+    const int old = assignment_[i];
+    if (old != static_cast<int>(v)) {
+      if (old >= 0) {
+        set_.move(old, static_cast<int>(v), row);
+      } else {
+        set_.add(static_cast<int>(v), row);
+      }
+      assignment_[i] = static_cast<int>(v);
+      changed = true;
+      if (k > 1 && seeding) {
+        update_lane_bits(old, v);
+      } else if (k > 1) {
+        recache_cluster(static_cast<std::size_t>(old));
+        recache_cluster(v);
+      }
+    }
+    g_cur_[v] += 1.0;  // Eq. (10)
+    if (config_.cumulative_rho) {
+      g_prev_[v] += 1.0;
+      g_total += 1.0;
+    }
+    if (k == 1) continue;
+
+    if (config_.update == WeightUpdate::sigmoid_rival) {
+      delta_[v] += config_.eta;  // Eq. (12)
+      // Eq. (13): rival pushed away proportionally to closeness. The
+      // similarity is re-evaluated after the move because the winner's
+      // (and a moved-from rival's) histogram just changed.
+      const std::size_t p = config_.penalty_uses_winner_similarity ? v : h;
+      double penalty_sim = 0.0;
+      if (seeding) {
+        penalty_sim = set_.weighted_score_one(static_cast<int>(p), row, omega_[p]);
+      } else {
+        // The cached terms of the row's observed features, in feature
+        // order; a missing feature adds +0.0 in weighted_score_one.
+        for (std::size_t r = 0; r < d; ++r) {
+          const std::size_t c = row_cells_[r];
+          if (c != simd::kNoCell) penalty_sim += quotients_[c * k + p];
+        }
+      }
+      delta_[h] -= config_.eta * penalty_sim;
+      u_[v] = cluster_weight_sigmoid(delta_[v]);
+      u_[h] = cluster_weight_sigmoid(delta_[h]);
+    } else {
+      u_[v] += config_.eta;  // Eq. (8), winner-only reward
+    }
+  }
+  return changed;
+}
+
+void CompetitiveStage::build_lane_bitmap() {
+  const auto k = static_cast<std::size_t>(set_.num_clusters());
+  lane_words_ = (k + 63) / 64;
+  lane_bits_.assign(set_.num_cells() * lane_words_, 0);
+  for (std::size_t c = 0; c < set_.num_cells(); ++c) {
+    const double* counts = set_.count_lanes(c);
+    std::uint64_t* words = lane_bits_.data() + c * lane_words_;
+    for (std::size_t l = 0; l < k; ++l) {
+      if (counts[l] != 0.0) words[l / 64] |= std::uint64_t{1} << (l % 64);
+    }
+  }
+}
+
+void CompetitiveStage::update_lane_bits(int from, std::size_t to) {
+  for (const std::size_t c : row_cells_) {
+    if (c == simd::kNoCell) continue;
+    std::uint64_t* words = lane_bits_.data() + c * lane_words_;
+    words[to / 64] |= std::uint64_t{1} << (to % 64);
+    const auto f = static_cast<std::size_t>(from);
+    if (from >= 0 && set_.count_lanes(c)[f] == 0.0) {
+      words[f / 64] &= ~(std::uint64_t{1} << (f % 64));
+    }
+  }
+}
+
+void CompetitiveStage::score_nonzero_lanes() {
+  const auto k = static_cast<std::size_t>(set_.num_clusters());
+  std::fill(scores_.begin(), scores_.end(), 0.0);
+  for (std::size_t r = 0; r < row_cells_.size(); ++r) {
+    const std::size_t c = row_cells_[r];
+    if (c == simd::kNoCell) continue;
+    const double* w = wt_.data() + r * k;
+    const double* counts = set_.count_lanes(c);
+    const double* nn = set_.non_null_lanes(r);
+    const std::uint64_t* words = lane_bits_.data() + c * lane_words_;
+    for (std::size_t j = 0; j < lane_words_; ++j) {
+      for (std::uint64_t b = words[j]; b != 0; b &= b - 1) {
+        const std::size_t l =
+            j * 64 + static_cast<std::size_t>(std::countr_zero(b));
+        // A non-zero count implies a non-zero non-null total: the term the
+        // dense kernel adds, w * (c / nn).
+        scores_[l] += w[l] * (counts[l] / nn[l]);
+      }
+    }
+  }
+}
+
+void CompetitiveStage::build_quotient_cache() {
+  const auto k = static_cast<std::size_t>(set_.num_clusters());
+  quotients_.resize(set_.num_cells() * k);
+  for (std::size_t r = 0; r < ds_.num_features(); ++r) {
+    const double* w = wt_.data() + r * k;
+    const double* nn = set_.non_null_lanes(r);
+    const std::size_t first = set_.cell(r, 0);
+    const auto last = first + static_cast<std::size_t>(ds_.cardinality(r));
+    for (std::size_t c = first; c < last; ++c) {
+      const double* counts = set_.count_lanes(c);
+      double* q = quotients_.data() + c * k;
+      for (std::size_t l = 0; l < k; ++l) {
+        q[l] = nn[l] > 0.0 ? w[l] * (counts[l] / nn[l]) : 0.0;
+      }
+    }
+  }
+}
+
+void CompetitiveStage::recache_cluster(std::size_t l) {
+  const auto k = static_cast<std::size_t>(set_.num_clusters());
+  for (std::size_t r = 0; r < row_cells_.size(); ++r) {
+    // Only the features the row observes changed their non-null totals.
+    if (row_cells_[r] == simd::kNoCell) continue;
+    const double w = wt_[r * k + l];
+    const double nn = set_.non_null_lanes(r)[l];
+    const std::size_t first = set_.cell(r, 0);
+    const auto last = first + static_cast<std::size_t>(ds_.cardinality(r));
+    for (std::size_t c = first; c < last; ++c) {
+      quotients_[c * k + l] = nn > 0.0 ? w * (set_.count_lanes(c)[l] / nn) : 0.0;
+    }
+  }
+}
+
+void CompetitiveStage::score_cached() {
+  const auto k = static_cast<std::size_t>(set_.num_clusters());
+  const simd::Kernels& kr = simd::kernels();
+  std::fill(scores_.begin(), scores_.end(), 0.0);
+  for (const std::size_t c : row_cells_) {
+    if (c != simd::kNoCell) kr.acc_f64(scores_.data(), quotients_.data() + c * k, k);
+  }
 }
 
 void CompetitiveStage::reset_learning_state() {
@@ -175,6 +309,9 @@ void CompetitiveStage::rebuild_weight_bank() {
   wt_.resize(d * k);
   for (std::size_t r = 0; r < d; ++r) {
     for (std::size_t l = 0; l < k; ++l) {
+      // Both scoring forms skip terms the dense kernel adds as +0.0; that
+      // holds only for finite, non-negative weights.
+      assert(std::isfinite(omega_[l][r]) && omega_[l][r] >= 0.0);
       wt_[r * k + l] = omega_[l][r];
     }
   }

@@ -14,6 +14,21 @@
 // (Eqs. 15-18) and clusters that lost every member are eliminated — this is
 // the competition that shrinks k. The stage converges when a full sweep
 // leaves the partition unchanged (Q_new == Q_old).
+//
+// Each sweep scores s_w(x_i, C_l) in one of two forms, picked by the sweep
+// itself; both add, per cluster, the same doubles in the same feature
+// order as the dense ProfileSet::weighted_score_all kernel, so every
+// assignment, u, delta, g and omega keeps its bits:
+//   - the seeding sweep (a row still unassigned, k = k0) adds only the
+//     lanes whose count is non-zero, read from a per-(feature, value) lane
+//     bitmap. A zero count adds w * (0 / nn) = +0.0 to an accumulator that
+//     starts at +0.0, which leaves it unchanged (weights are finite and
+//     >= 0);
+//   - every later sweep reads a cache of the weighted quotients
+//     w_rl * count / non_null, built once per sweep; a move re-divides
+//     only the two clusters the row left and joined.
+// g_total is kept as a running sum (the counts are integral, so it is
+// exact), and winner and rival come from one lowest-id top-2 scan.
 #pragma once
 
 #include <cstddef>
@@ -102,8 +117,28 @@ class CompetitiveStage {
   const ProfileSet& profile_set() const { return set_; }
   const std::vector<std::vector<double>>& omega() const { return omega_; }
   const std::vector<double>& cluster_weights() const { return u_; }
+  // Eq. (7)'s winning counts g as the next visit reads them, and the
+  // sigmoid inputs delta (Eqs. 12-13).
+  const std::vector<double>& winning_counts() const { return g_prev_; }
+  const std::vector<double>& deltas() const { return delta_; }
 
  private:
+  // One pass over every object; returns whether any assignment changed.
+  bool sweep();
+  // Seeding form: sets lane_bits_ from the bank's non-zero counts.
+  void build_lane_bitmap();
+  // After the row joined cluster `to` (from cluster `from`, or -1 when it
+  // was unassigned): sets `to`'s bit in the row's cells and clears
+  // `from`'s where its count fell to 0.
+  void update_lane_bits(int from, std::size_t to);
+  // scores_[l] = s_w(row, C_l) from the bitmap's non-zero lanes.
+  void score_nonzero_lanes();
+  // Later sweeps: fills quotients_ for every cell and cluster.
+  void build_quotient_cache();
+  // Re-divides cluster l's quotients of every feature the row observes.
+  void recache_cluster(std::size_t l);
+  // scores_[l] = s_w(row, C_l) summed from the quotient cache.
+  void score_cached();
   void refresh_feature_weights();
   // Drops empty clusters, remapping assignment/ids densely.
   void prune_empty_clusters();
@@ -118,6 +153,15 @@ class CompetitiveStage {
   std::vector<std::vector<double>> omega_;  // [cluster][feature]
   std::vector<double> wt_;                  // omega_ transposed: [r * k + l]
   std::vector<double> scores_;              // per-object batched scores
+  // The visited row's bank cell per feature (kNoCell when missing).
+  std::vector<std::size_t> row_cells_;
+  // Seeding sweep: bit l of cell c's words [c * lane_words_, ...) is set
+  // exactly when count_lanes(c)[l] != 0.
+  std::size_t lane_words_ = 0;
+  std::vector<std::uint64_t> lane_bits_;
+  // Later sweeps: quotients_[c * k + l] = w_rl * count / non_null (0 when
+  // non_null is 0), c a cell of feature r.
+  std::vector<double> quotients_;
   std::vector<int> assignment_;             // -1 while unassigned
   // Winning counts (Eq. 10): g_prev_ holds the previous sweep's counts —
   // Eq. (7)'s "winning times in the last learning iteration" — and stays

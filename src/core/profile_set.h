@@ -103,6 +103,24 @@ class ProfileSet {
   // Eq. (2); zero for missing / out-of-domain v or an all-NULL column.
   double value_similarity(int l, std::size_t r, data::Value v) const;
 
+  // Raw lane reads for a caller that keeps its own per-cluster state over
+  // the bank (CompetitiveStage's lane bitmap and quotient cache). Cells are
+  // numbered value-major, cell(r, v) = sum of cardinalities before r plus
+  // v, in [0, num_cells()) for an in-domain v; count_lanes(cell(r, v))[l]
+  // == count(l, r, v) and non_null_lanes(r)[l] == non_null(l, r) for
+  // l < num_clusters(). Any mutation may move the bank, so re-read the
+  // pointers after one.
+  std::size_t num_cells() const { return total_cells_; }
+  std::size_t cell(std::size_t r, data::Value v) const {
+    return offsets_[r] + static_cast<std::size_t>(v);
+  }
+  const double* count_lanes(std::size_t cell) const {
+    return counts_.data() + cell * stride_;
+  }
+  const double* non_null_lanes(std::size_t r) const {
+    return non_null_.data() + r * stride_;
+  }
+
   // O(d) membership maintenance. Out-of-domain cells contribute nothing.
   void add(int l, data::RowRef row);
   void remove(int l, data::RowRef row);
@@ -196,10 +214,6 @@ class ProfileSet {
  private:
   bool in_domain(std::size_t r, data::Value v) const {
     return v >= 0 && v < cardinalities_[r];
-  }
-  // Flat (feature, value) cell index in [0, total_cells_).
-  std::size_t cell(std::size_t r, data::Value v) const {
-    return offsets_[r] + static_cast<std::size_t>(v);
   }
   void thaw() {
     frozen_ = false;
