@@ -31,8 +31,7 @@
 int main(int argc, char** argv) try {
   using namespace mcdc;
   const Cli cli(argc, argv);
-  const int runs =
-      cli.has("paper") ? 20 : static_cast<int>(cli.get_int("runs", 3, 1));
+  const int runs = cli.has("paper") ? 20 : cli.get_count("runs", 3);
 
   struct Variant {
     std::string name;

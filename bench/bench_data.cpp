@@ -93,7 +93,7 @@ int main(int argc, char** argv) try {
   const std::size_t n = static_cast<std::size_t>(
       cli.get_int("n", smoke ? 4000 : 200000));
   const int k = static_cast<int>(cli.get_int("k", 64));
-  const int repeats = static_cast<int>(cli.get_int("repeats", smoke ? 2 : 5));
+  const int repeats = cli.get_count("repeats", smoke ? 2 : 5);
   const std::size_t shards =
       static_cast<std::size_t>(cli.get_int("shards", 8));
 

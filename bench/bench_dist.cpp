@@ -136,7 +136,7 @@ int main(int argc, char** argv) try {
   const bool smoke = cli.has("smoke");
   const auto n =
       static_cast<std::size_t>(cli.get_int("n", smoke ? 4000 : 20000));
-  const int repeats = static_cast<int>(cli.get_int("repeats", smoke ? 1 : 3));
+  const int repeats = cli.get_count("repeats", smoke ? 1 : 3);
   const int max_shards =
       static_cast<int>(cli.get_int("max-shards", smoke ? 8 : 16));
 

@@ -50,8 +50,7 @@ double mean_ari(const baselines::Clusterer& method, const data::Dataset& ds,
 
 int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
-  const int runs =
-      cli.has("paper") ? 20 : static_cast<int>(cli.get_int("runs", 3, 1));
+  const int runs = cli.has("paper") ? 20 : cli.get_count("runs", 3);
 
   const core::McdcClusterer mcdc;
   const baselines::KModes kmodes;

@@ -71,7 +71,7 @@ int main(int argc, char** argv) try {
   const Cli cli(argc, argv);
   const std::string sweep = cli.get("sweep", "all");
   const bool paper = cli.has("paper");
-  const int repeats = static_cast<int>(cli.get_int("repeats", paper ? 10 : 3));
+  const int repeats = cli.get_count("repeats", paper ? 10 : 3);
 
   // Iteration counts are capped at a fixed 10 sweeps for the counterparts so
   // the curves show the per-iteration cost growth (the complexity claim under

@@ -97,7 +97,7 @@ int main(int argc, char** argv) try {
   const bool paper = cli.has("paper");
   const std::size_t n = static_cast<std::size_t>(
       cli.get_int("n", smoke ? 2000 : (paper ? 200000 : 20000)));
-  const int repeats = static_cast<int>(cli.get_int("repeats", smoke ? 1 : 3));
+  const int repeats = cli.get_count("repeats", smoke ? 1 : 3);
   const std::vector<int> ks = smoke ? std::vector<int>{4, 16}
                                     : std::vector<int>{4, 16, 64, 256};
 

@@ -18,8 +18,7 @@
 int main(int argc, char** argv) try {
   using namespace mcdc;
   const Cli cli(argc, argv);
-  const int runs =
-      cli.has("paper") ? 50 : static_cast<int>(cli.get_int("runs", 5, 1));
+  const int runs = cli.has("paper") ? 50 : cli.get_count("runs", 5);
 
   std::printf("== Table III: clustering performance (%d runs per cell) ==\n\n",
               runs);

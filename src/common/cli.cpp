@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <stdexcept>
 
 namespace mcdc {
@@ -52,18 +53,27 @@ std::string Cli::get(const std::string& key,
   return it == values_.end() ? fallback : it->second;
 }
 
-long Cli::get_int(const std::string& key, long fallback, long min) const {
+long Cli::get_int(const std::string& key, long fallback) const {
   const auto it = values_.find(key);
   if (it == values_.end() || it->second.empty()) return fallback;
   char* end = nullptr;
   errno = 0;
   const long value = std::strtol(it->second.c_str(), &end, 10);
   check_whole_number(key, it->second, end);
-  if (value < min) {
-    throw std::invalid_argument("--" + key + " must be at least " +
-                                std::to_string(min));
-  }
   return value;
+}
+
+int Cli::get_count(const std::string& key, int fallback) const {
+  const long value = get_int(key, fallback);
+  if (value < 1) {
+    throw std::invalid_argument("--" + key + " must be at least 1");
+  }
+  if (value > std::numeric_limits<int>::max()) {
+    throw std::invalid_argument(
+        "--" + key + " must be at most " +
+        std::to_string(std::numeric_limits<int>::max()));
+  }
+  return static_cast<int>(value);
 }
 
 double Cli::get_double(const std::string& key, double fallback) const {

@@ -144,18 +144,27 @@ TEST(Cli, RejectsValuesThatAreNotWhollyANumber) {
   EXPECT_DOUBLE_EQ(cli.get_double("bare", 0.5), 0.5);
 }
 
-TEST(Cli, RejectsIntegersBelowTheMinimum) {
-  const char* argv[] = {"prog", "--runs", "0", "--k", "-2", "--n", "1"};
-  const Cli cli(7, argv);
-  EXPECT_EQ(cli.get_int("runs", 5), 0);  // no minimum given
-  EXPECT_EQ(cli.get_int("n", 5, 1), 1);
-  EXPECT_EQ(cli.get_int("absent", 5, 1), 5);
-  EXPECT_THROW(cli.get_int("k", 5, 1), std::invalid_argument);
+TEST(Cli, CountsLieBetweenOneAndIntMax) {
+  const char* argv[] = {"prog", "--runs", "0", "--k", "-2", "--n", "1",
+                        "--repeats", "4294967296", "--max", "2147483647"};
+  const Cli cli(11, argv);
+  EXPECT_EQ(cli.get_int("runs", 5), 0);  // get_int has no bounds
+  EXPECT_EQ(cli.get_int("repeats", 5), 4294967296L);
+  EXPECT_EQ(cli.get_count("n", 5), 1);
+  EXPECT_EQ(cli.get_count("max", 5), 2147483647);
+  EXPECT_EQ(cli.get_count("absent", 5), 5);
+  EXPECT_THROW(cli.get_count("k", 5), std::invalid_argument);
   try {
-    cli.get_int("runs", 5, 1);
-    FAIL() << "--runs 0 passed a minimum of 1";
+    cli.get_count("runs", 5);
+    FAIL() << "--runs 0 passed as a count";
   } catch (const std::invalid_argument& error) {
     EXPECT_STREQ(error.what(), "--runs must be at least 1");
+  }
+  try {
+    cli.get_count("repeats", 5);
+    FAIL() << "--repeats 4294967296 passed as a count";
+  } catch (const std::invalid_argument& error) {
+    EXPECT_STREQ(error.what(), "--repeats must be at most 2147483647");
   }
 }
 
