@@ -394,6 +394,62 @@ TEST(DriftDetector, RecoveredSnapshotMatchesFromScratchRefit) {
   updater->server()->stop();
 }
 
+// RecoveredSnapshotMatchesFromScratchRefit's check made at every refit
+// tick instead of at the end of the stream, where a later tick may already
+// have published a live candidate over a broken refit: the snapshot a
+// refit publishes has k >= 1 and labels the window exactly as a learner
+// fed the same rows from scratch does.
+TEST(DriftDetector, EveryRefitPublishesTheFromScratchModelAtItsTick) {
+  const data::Dataset ds = fixture_dataset();
+  const std::size_t d = ds.num_features();
+  const std::vector<data::Value> clean = gather_rows(ds);
+  const std::vector<data::Value> shifted =
+      shift_codes(clean, ds.cardinalities());
+  const std::vector<data::Value> shifted_twice =
+      shift_codes(shifted, ds.cardinalities());
+  // Clean, shifted, then shifted again: two drifts.
+  std::vector<data::Value> stream(clean);
+  stream.insert(stream.end(), shifted.begin(), shifted.end());
+  stream.insert(stream.end(), shifted_twice.begin(), shifted_twice.end());
+  const std::size_t total = stream.size() / d;
+
+  api::Engine engine;
+  ASSERT_TRUE(fit_fixture(ds, engine).ok());
+  serve::OnlineConfig config = tight_online_config();
+  // Ticks only where this test calls them, at the same cadence.
+  const std::size_t cadence = config.tick_every;
+  config.tick_every = total + 1;
+  const auto updater = engine.serve_online(config);
+
+  std::size_t refits = 0;
+  for (std::size_t seen = 0; seen < total;) {
+    const std::size_t m = std::min(cadence, total - seen);
+    updater->observe(stream.data() + seen * d, m);
+    seen += m;
+    if (updater->tick() != serve::TickAction::kRefit) continue;
+    ++refits;
+    const std::size_t tail = std::min(config.window_capacity, seen);
+    const data::Value* window = stream.data() + (seen - tail) * d;
+    auto scratch = serve::make_online_learner(config, ds.cardinalities());
+    for (std::size_t j = 0; j < tail; ++j) scratch->observe(window + j * d);
+    scratch->end_chunk();
+    const api::Model rebuilt = scratch->to_model();
+
+    const std::shared_ptr<const api::Model> snapshot =
+        updater->server()->snapshot();
+    ASSERT_NE(snapshot, nullptr);
+    ASSERT_GE(snapshot->k(), 1) << "the refit at row " << seen
+                                << " published an empty model";
+    std::vector<int> served(tail), expected(tail);
+    snapshot->predict_rows(window, tail, served.data());
+    rebuilt.predict_rows(window, tail, expected.data());
+    EXPECT_EQ(served, expected) << "the refit at row " << seen;
+  }
+  EXPECT_GE(refits, 2u);
+  EXPECT_EQ(updater->evidence().refits, refits);
+  updater->server()->stop();
+}
+
 // --- drift bookkeeping (trace ring, absorb counter, empty server) ---------
 
 TEST(DriftBookkeeping, TraceRingKeepsMostRecent512OldestFirst) {
