@@ -102,7 +102,7 @@ bool CompetitiveStage::sweep() {
 
   for (std::size_t i = 0; i < n; ++i) {
     const data::RowRef row = ds_.row(i);
-    // A lone cluster trivially wins every object.
+    // Winner and rival; a lone cluster trivially wins every object.
     std::size_t v = 0;
     std::size_t h = 0;
     if (k > 1) {
@@ -159,8 +159,12 @@ bool CompetitiveStage::sweep() {
       if (k > 1 && seeding) {
         update_lane_bits(old, v);
       } else if (k > 1) {
-        recache_cluster(static_cast<std::size_t>(old));
-        recache_cluster(v);
+        // Only the features the row observes changed a non-null total.
+        for (std::size_t r = 0; r < d; ++r) {
+          if (row_cells_[r] == simd::kNoCell) continue;
+          recache(r, static_cast<std::size_t>(old));
+          recache(r, v);
+        }
       }
     }
     g_cur_[v] += 1.0;  // Eq. (10)
@@ -248,32 +252,19 @@ void CompetitiveStage::build_quotient_cache() {
   const auto k = static_cast<std::size_t>(set_.num_clusters());
   quotients_.resize(set_.num_cells() * k);
   for (std::size_t r = 0; r < ds_.num_features(); ++r) {
-    const double* w = wt_.data() + r * k;
-    const double* nn = set_.non_null_lanes(r);
-    const std::size_t first = set_.cell(r, 0);
-    const auto last = first + static_cast<std::size_t>(ds_.cardinality(r));
-    for (std::size_t c = first; c < last; ++c) {
-      const double* counts = set_.count_lanes(c);
-      double* q = quotients_.data() + c * k;
-      for (std::size_t l = 0; l < k; ++l) {
-        q[l] = nn[l] > 0.0 ? w[l] * (counts[l] / nn[l]) : 0.0;
-      }
-    }
+    for (std::size_t l = 0; l < k; ++l) recache(r, l);
   }
 }
 
-void CompetitiveStage::recache_cluster(std::size_t l) {
+void CompetitiveStage::recache(std::size_t r, std::size_t l) {
   const auto k = static_cast<std::size_t>(set_.num_clusters());
-  for (std::size_t r = 0; r < row_cells_.size(); ++r) {
-    // Only the features the row observes changed their non-null totals.
-    if (row_cells_[r] == simd::kNoCell) continue;
-    const double w = wt_[r * k + l];
-    const double nn = set_.non_null_lanes(r)[l];
-    const std::size_t first = set_.cell(r, 0);
-    const auto last = first + static_cast<std::size_t>(ds_.cardinality(r));
-    for (std::size_t c = first; c < last; ++c) {
-      quotients_[c * k + l] = nn > 0.0 ? w * (set_.count_lanes(c)[l] / nn) : 0.0;
-    }
+  // The dense kernel's term, divided the same way.
+  const double w = wt_[r * k + l];
+  const double nn = set_.non_null_lanes(r)[l];
+  const std::size_t first = set_.cell(r, 0);
+  const auto last = first + static_cast<std::size_t>(ds_.cardinality(r));
+  for (std::size_t c = first; c < last; ++c) {
+    quotients_[c * k + l] = nn > 0.0 ? w * (set_.count_lanes(c)[l] / nn) : 0.0;
   }
 }
 

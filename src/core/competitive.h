@@ -19,9 +19,9 @@
 // itself; both add, per cluster, the same doubles in the same feature
 // order as the dense ProfileSet::weighted_score_all kernel, so every
 // assignment, u, delta, g and omega keeps its bits:
-//   - the seeding sweep (a row still unassigned, k = k0) adds only the
-//     lanes whose count is non-zero, read from a per-(feature, value) lane
-//     bitmap. A zero count adds w * (0 / nn) = +0.0 to an accumulator that
+//   - the seeding sweep (a row still unassigned: the first sweep after
+//     the seeds, at k = k0) adds only the lanes whose count is non-zero,
+//     read from a per-(feature, value) lane bitmap. A zero count adds w * (0 / nn) = +0.0 to an accumulator that
 //     starts at +0.0, which leaves it unchanged (weights are finite and
 //     >= 0);
 //   - every later sweep reads a cache of the weighted quotients
@@ -135,8 +135,8 @@ class CompetitiveStage {
   void score_nonzero_lanes();
   // Later sweeps: fills quotients_ for every cell and cluster.
   void build_quotient_cache();
-  // Re-divides cluster l's quotients of every feature the row observes.
-  void recache_cluster(std::size_t l);
+  // Re-divides cluster l's quotients of feature r's cells.
+  void recache(std::size_t r, std::size_t l);
   // scores_[l] = s_w(row, C_l) summed from the quotient cache.
   void score_cached();
   void refresh_feature_weights();
