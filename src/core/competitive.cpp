@@ -83,8 +83,8 @@ bool CompetitiveStage::sweep() {
   const std::size_t d = ds_.num_features();
   const std::vector<int>& cards = ds_.cardinalities();
   const auto k = static_cast<std::size_t>(set_.num_clusters());
-  const bool seeding =
-      std::find(assignment_.begin(), assignment_.end(), -1) != assignment_.end();
+  const bool seeding = std::find(assignment_.begin(), assignment_.end(),
+                                 -1) != assignment_.end();
   if (k > 1) {
     if (seeding) {
       build_lane_bitmap();
@@ -182,7 +182,8 @@ bool CompetitiveStage::sweep() {
       const std::size_t p = config_.penalty_uses_winner_similarity ? v : h;
       double penalty_sim = 0.0;
       if (seeding) {
-        penalty_sim = set_.weighted_score_one(static_cast<int>(p), row, omega_[p]);
+        penalty_sim =
+            set_.weighted_score_one(static_cast<int>(p), row, omega_[p]);
       } else {
         // The cached terms of the row's observed features, in feature
         // order; a missing feature adds +0.0 in weighted_score_one.
@@ -273,7 +274,8 @@ void CompetitiveStage::score_cached() {
   const simd::Kernels& kr = simd::kernels();
   std::fill(scores_.begin(), scores_.end(), 0.0);
   for (const std::size_t c : row_cells_) {
-    if (c != simd::kNoCell) kr.acc_f64(scores_.data(), quotients_.data() + c * k, k);
+    if (c == simd::kNoCell) continue;
+    kr.acc_f64(scores_.data(), quotients_.data() + c * k, k);
   }
 }
 

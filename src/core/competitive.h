@@ -21,9 +21,9 @@
 // assignment, u, delta, g and omega keeps its bits:
 //   - the seeding sweep (a row still unassigned: the first sweep after
 //     the seeds, at k = k0) adds only the lanes whose count is non-zero,
-//     read from a per-(feature, value) lane bitmap. A zero count adds w * (0 / nn) = +0.0 to an accumulator that
-//     starts at +0.0, which leaves it unchanged (weights are finite and
-//     >= 0);
+//     read from a per-(feature, value) lane bitmap. A zero count adds
+//     w * (0 / nn) = +0.0 to an accumulator that starts at +0.0, which
+//     leaves it unchanged (weights are finite and >= 0);
 //   - every later sweep reads a cache of the weighted quotients
 //     w_rl * count / non_null, built once per sweep; a move re-divides
 //     only the two clusters the row left and joined.

@@ -104,10 +104,10 @@ class ReferenceStage {
         if (config_.cumulative_rho) g_prev_[v] += 1.0;
         if (config_.update == WeightUpdate::sigmoid_rival) {
           delta_[v] += config_.eta;
-          const double penalty_sim =
-              config_.penalty_uses_winner_similarity
-                  ? set_.weighted_score_one(static_cast<int>(v), row, omega_[v])
-                  : set_.weighted_score_one(static_cast<int>(h), row, omega_[h]);
+          const auto p = static_cast<int>(
+              config_.penalty_uses_winner_similarity ? v : h);
+          const double penalty_sim = set_.weighted_score_one(
+              p, row, omega_[static_cast<std::size_t>(p)]);
           delta_[h] -= config_.eta * penalty_sim;
           u_[v] = cluster_weight_sigmoid(delta_[v]);
           u_[h] = cluster_weight_sigmoid(delta_[h]);
